@@ -96,9 +96,11 @@ class StoreCorruptionError(ScenarioError):
 class ChunkTimeoutError(ScenarioError):
     """A campaign chunk exceeded its per-chunk deadline.
 
-    Raised by the supervised executor when a worker fails to deliver a
-    chunk tally within ``RetryPolicy.chunk_timeout`` seconds; the worker
-    is killed and the chunk is retried with backoff (then quarantined).
+    Never raised: the supervised executor builds one when a worker fails
+    to deliver a chunk tally within ``RetryPolicy.chunk_timeout``
+    seconds, kills and retires that worker, and records the error as the
+    attempt's failure (``"ChunkTimeoutError: …"``); the chunk is retried
+    with backoff, then quarantined.
     """
 
 
@@ -106,8 +108,10 @@ class WorkerCrashError(ScenarioError):
     """A campaign worker died without delivering its chunk tally.
 
     Covers both real worker deaths (the supervisor observed an exit
-    without a result) and injected crashes from a
-    :class:`~repro.scenarios.faults.FaultPlan` on the in-process path.
+    without a result and records this error's text as the attempt's
+    failure) and injected crashes from a
+    :class:`~repro.scenarios.faults.FaultPlan` on the in-process path
+    (raised and caught by the serial retry loop).
     """
 
 

@@ -26,14 +26,17 @@ contract:
   chunk boundaries, so a Ctrl-C never tears a non-final record.
 * **Dedup.** Re-running a completed campaign is a cache hit: zero chunks
   re-verified, the same report bytes re-emitted.
-* **Fault tolerance.** With ``jobs > 1`` every chunk runs in a
-  *supervised* worker process: the runner detects dead workers (a crash
-  is an event, not a hang), enforces the :class:`RetryPolicy` per-chunk
-  deadline, and respawns failed attempts with exponentially backed-off,
-  deterministically jittered retries. A chunk that exhausts its attempts
-  is *quarantined* — recorded as failed in the store — and the campaign
-  settles **degraded** instead of losing the run; ``campaign
-  retry-failed`` re-executes exactly the quarantined chunks.
+* **Fault tolerance.** With ``jobs > 1`` chunks run in up to ``jobs``
+  persistent *supervised* worker processes, each serving chunk after
+  chunk (so process-local caches outlive a chunk): the runner detects
+  dead workers (a crash is an event, not a hang), enforces the
+  :class:`RetryPolicy` per-chunk deadline, retires a worker after any
+  failed attempt, and retries that attempt in another process with
+  exponentially backed-off, deterministically jittered delays. A chunk
+  that exhausts its attempts is *quarantined* — recorded as failed in
+  the store — and the campaign settles **degraded** instead of losing
+  the run; ``campaign retry-failed`` re-executes exactly the quarantined
+  chunks.
 
 The runner parallelizes *across* chunks (``jobs``), writing each record
 as its chunk lands; record order on disk is scheduling-dependent, merged
@@ -59,6 +62,7 @@ from repro.errors import (
     CampaignIncompleteError,
     CampaignInterruptedError,
     ChunkPoisonedError,
+    ChunkTimeoutError,
     ScenarioError,
     StoreCorruptionError,
     VerificationError,
@@ -278,30 +282,42 @@ def _campaign_chunk(payload: _Payload) -> tuple[int, tuple]:
     return index, simulate_chunk(spec, chunk, backend)
 
 
-def _worker_main(
+def _describe(exc: BaseException) -> str:
+    """A failure as its stored error string: ``"<ExceptionType>: <message>"``."""
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _worker_loop(
     conn: Connection,
-    payload: _Payload,
-    attempt: int,
     plan_data: Optional[dict[str, Any]],
     telemetry_data: Optional[dict[str, Any]] = None,
 ) -> None:
-    """Supervised worker body: run one chunk, deliver ``("ok", tally)``.
+    """Persistent supervised worker: serve ``(payload, attempt)`` jobs.
 
     First order of business is shedding the parent's flag-setting signal
     handlers (inherited across ``fork``): SIGTERM back to the default
     disposition so the supervisor's ``terminate()`` actually kills a hung
     worker, SIGINT ignored so a terminal Ctrl-C (delivered group-wide)
     interrupts only the supervisor, which then winds workers down
-    deliberately. Any exception is delivered as ``("error", message)``;
-    a worker that dies without delivering anything (injected ``os._exit``
-    or a real crash) is detected by the supervisor as EOF on the pipe.
+    deliberately. Each job answers ``("ok", tally)`` and the loop waits
+    for the next; a ``None`` sentinel (or EOF) ends it. Any exception is
+    delivered as ``("error", message)`` and the worker exits — the
+    supervisor retires it, so a retry never runs in the process that
+    failed. A worker that dies without delivering anything (injected
+    ``os._exit`` or a real crash) is detected by the supervisor as EOF
+    on the pipe.
+
+    Process-local caches (compiled tables, dense solver spaces) survive
+    from one job to the next, so a campaign compiles once per worker,
+    not once per chunk. Fault and telemetry contexts are reset per job,
+    keeping fault rolls keyed on ``(chunk, attempt)``.
 
     Telemetry follows the fault plan's delivery model: the supervisor
     ships an explicit config (same trace id) rather than the worker
     self-arming from the environment, so one campaign run is exactly one
-    trace however many workers it respawns. The worker's own
-    ``chunk.attempt`` span brackets the chunk's true execution time —
-    pipe and spawn latency stay in the supervisor's accounting.
+    trace however many workers it starts. The worker's own
+    ``chunk.attempt`` span brackets each chunk's true execution time —
+    pipe and start-up latency stay in the supervisor's accounting.
     """
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -309,29 +325,46 @@ def _worker_main(
     if plan_data is not None:
         faults.install(FaultPlan.from_dict(plan_data))
     faults.mark_worker()
-    faults.set_context(payload[0], attempt)
     telemetry.install(
         TelemetryConfig.from_dict(telemetry_data)
         if telemetry_data is not None
         else None
     )
-    telemetry.set_context(chunk=payload[0], attempt=attempt)
-    try:
-        with telemetry.span(
-            "chunk.attempt",
-            chunk=payload[0],
-            attempt=attempt,
-            tables=len(payload[2]),
-        ) as span_attrs:
-            _, tally = _campaign_chunk(payload)
-            span_attrs["ok"] = True
-    except BaseException as exc:  # delivered, not swallowed
+    # The parent's death ends the loop too: under ``fork`` this process
+    # holds a copy of the supervisor's pipe end, so EOF alone would never
+    # come if the runner were killed (a torn append, SIGKILL).
+    parent = multiprocessing.parent_process()
+    watched = [conn] if parent is None else [conn, parent.sentinel]
+    while True:
+        if conn not in connection_wait(watched):
+            break
         try:
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
-        finally:
-            conn.close()
-        return
-    conn.send(("ok", tally))
+            job = conn.recv()
+        except (EOFError, OSError):
+            break
+        if job is None:
+            break
+        payload, attempt = job
+        faults.set_context(payload[0], attempt)
+        telemetry.set_context(chunk=payload[0], attempt=attempt)
+        try:
+            with telemetry.span(
+                "chunk.attempt",
+                chunk=payload[0],
+                attempt=attempt,
+                tables=len(payload[2]),
+            ) as span_attrs:
+                _, tally = _campaign_chunk(payload)
+                span_attrs["ok"] = True
+            reply = ("ok", tally)
+        except BaseException as exc:  # delivered, not swallowed
+            reply = ("error", _describe(exc))
+        try:
+            conn.send(reply)
+        except OSError:
+            break  # the supervisor is gone
+        if reply[0] != "ok":
+            break
     conn.close()
 
 
@@ -348,13 +381,14 @@ def _kill_process(process: multiprocessing.process.BaseProcess) -> None:
 
 
 @dataclass
-class _Slot:
-    """One running supervised worker."""
+class _Worker:
+    """One persistent supervised worker and the attempt it is serving."""
 
-    payload: _Payload
-    attempt: int
     process: multiprocessing.process.BaseProcess
-    deadline: Optional[float]
+    conn: Connection
+    payload: Optional[_Payload] = None
+    attempt: int = 0
+    deadline: Optional[float] = None
 
 
 class CampaignRunner:
@@ -786,7 +820,7 @@ class CampaignRunner:
                 if crash is None:
                     yield index, ("ok", tally)
                     break
-                error = f"{type(crash).__name__}: {crash}"
+                error = _describe(crash)
                 delay: Optional[float] = None
                 if attempt < policy.max_attempts:
                     delay = faults.backoff_delay(
@@ -831,14 +865,20 @@ class CampaignRunner:
     def _execute_supervised(
         self, payloads: list[_Payload], plan: Optional[FaultPlan]
     ) -> Iterator[tuple[int, tuple]]:
-        """Process-per-chunk supervisor: deadlines, respawn, quarantine.
+        """Persistent-worker supervisor: deadlines, retirement, quarantine.
 
-        A hand-rolled supervisor rather than ``multiprocessing.Pool``
-        because a pool treats a dead worker as a reason to hang; here a
-        worker death is an *event* — EOF on its result pipe — answered by
-        a backed-off respawn of that attempt's chunk. Deadlines are
-        enforced by the same ``wait()`` loop: an overdue worker is
-        killed and its chunk retried like a crash.
+        Up to ``jobs`` long-lived workers, started lazily as work is
+        dispatched, each serving one chunk attempt at a time over a
+        duplex pipe. A clean tally returns its worker to the idle set;
+        any other outcome *retires* it — an ``("error", …)`` message, EOF
+        (the worker died: a crash is an event, not a hang), or a deadline
+        kill — and a fresh process takes its place at the next dispatch,
+        so a retry never runs in the process that failed. A hand-rolled
+        supervisor rather than ``multiprocessing.Pool`` because a pool
+        treats a dead worker as a reason to hang. Deadlines are enforced
+        by the same ``wait()`` loop that collects results. Idle workers
+        get a ``None`` sentinel and are joined once every chunk settles;
+        on an interrupt or exception every live worker is killed.
         """
         policy = self.policy
         seed = plan.seed if plan is not None else 0
@@ -850,8 +890,26 @@ class CampaignRunner:
             (payload, 1) for payload in payloads
         )
         retries: list[tuple[float, _Payload, int]] = []
-        running: dict[Connection, _Slot] = {}
+        idle: list[_Worker] = []
+        running: dict[Connection, _Worker] = {}
         history: dict[int, list[dict[str, Any]]] = {}
+
+        def start_worker(payload: _Payload, attempt: int) -> _Worker:
+            parent_conn, child_conn = ctx.Pipe(duplex=True)
+            process = ctx.Process(
+                target=_worker_loop,
+                args=(child_conn, plan_data, telemetry_data),
+            )
+            process.start()
+            child_conn.close()
+            telemetry.event(
+                "worker.spawn",
+                chunk=payload[0],
+                attempt=attempt,
+                worker_pid=process.pid,
+            )
+            return _Worker(process, parent_conn)
+
         try:
             while queue or retries or running:
                 self._check_interrupt()
@@ -866,25 +924,18 @@ class CampaignRunner:
                             queue.appendleft((payload, attempt))
                 while queue and len(running) < self.jobs:
                     payload, attempt = queue.popleft()
-                    parent_conn, child_conn = ctx.Pipe(duplex=False)
-                    process = ctx.Process(
-                        target=_worker_main,
-                        args=(child_conn, payload, attempt, plan_data, telemetry_data),
-                    )
-                    process.start()
-                    child_conn.close()
-                    telemetry.event(
-                        "worker.spawn",
-                        chunk=payload[0],
-                        attempt=attempt,
-                        worker_pid=process.pid,
-                    )
-                    deadline = (
+                    worker = idle.pop() if idle else start_worker(payload, attempt)
+                    try:
+                        worker.conn.send((payload, attempt))
+                    except OSError:
+                        pass  # a dead worker surfaces as EOF below
+                    worker.payload, worker.attempt = payload, attempt
+                    worker.deadline = (
                         time.monotonic() + policy.chunk_timeout
                         if policy.chunk_timeout is not None
                         else None
                     )
-                    running[parent_conn] = _Slot(payload, attempt, process, deadline)
+                    running[worker.conn] = worker
                 ready = (
                     connection_wait(
                         list(running), timeout=_SUPERVISOR_TICK_SECONDS
@@ -901,70 +952,97 @@ class CampaignRunner:
                         )
                     )
                 for conn in ready:
-                    slot = running.pop(conn)  # type: ignore[arg-type]
+                    worker = running.pop(conn)  # type: ignore[arg-type]
                     try:
-                        message = conn.recv()  # type: ignore[union-attr]
+                        message = worker.conn.recv()
                     except (EOFError, OSError):
                         message = None
-                    conn.close()  # type: ignore[union-attr]
-                    slot.process.join()
                     if message is not None and message[0] == "ok":
-                        yield slot.payload[0], ("ok", message[1])
+                        idle.append(worker)
+                        yield worker.payload[0], ("ok", message[1])
                         continue
+                    # Retired: the worker exits after reporting an error,
+                    # and a crashed one is already gone.
+                    worker.conn.close()
+                    worker.process.join()
                     if message is not None:
                         error = message[1]
                     else:
-                        error = (
-                            f"WorkerCrashError: worker for chunk "
-                            f"{slot.payload[0]} died with exit code "
-                            f"{slot.process.exitcode} before delivering a "
-                            f"tally (attempt {slot.attempt})"
+                        error = _describe(
+                            WorkerCrashError(
+                                f"worker for chunk {worker.payload[0]} died "
+                                f"with exit code {worker.process.exitcode} "
+                                f"before delivering a tally (attempt "
+                                f"{worker.attempt})"
+                            )
                         )
                         telemetry.event(
                             "worker.crash",
-                            chunk=slot.payload[0],
-                            attempt=slot.attempt,
-                            exitcode=slot.process.exitcode,
+                            chunk=worker.payload[0],
+                            attempt=worker.attempt,
+                            exitcode=worker.process.exitcode,
                         )
                     settled = self._settle_failure(
-                        slot, error, retries, seed, history
+                        worker.payload,
+                        worker.attempt,
+                        error,
+                        retries,
+                        seed,
+                        history,
                     )
                     if settled is not None:
                         yield settled
                 now = time.monotonic()
                 overdue = [
                     conn
-                    for conn, slot in running.items()
-                    if slot.deadline is not None and slot.deadline <= now
+                    for conn, worker in running.items()
+                    if worker.deadline is not None and worker.deadline <= now
                 ]
                 for conn in overdue:
-                    slot = running.pop(conn)
-                    _kill_process(slot.process)
-                    conn.close()
-                    error = (
-                        f"ChunkTimeoutError: chunk {slot.payload[0]} exceeded "
-                        f"the {policy.chunk_timeout:g}s per-chunk deadline "
-                        f"(attempt {slot.attempt})"
+                    worker = running.pop(conn)
+                    _kill_process(worker.process)
+                    worker.conn.close()
+                    error = _describe(
+                        ChunkTimeoutError(
+                            f"chunk {worker.payload[0]} exceeded the "
+                            f"{policy.chunk_timeout:g}s per-chunk deadline "
+                            f"(attempt {worker.attempt})"
+                        )
                     )
                     telemetry.event(
                         "chunk.timeout",
-                        chunk=slot.payload[0],
-                        attempt=slot.attempt,
+                        chunk=worker.payload[0],
+                        attempt=worker.attempt,
                         deadline=policy.chunk_timeout,
                     )
                     settled = self._settle_failure(
-                        slot, error, retries, seed, history
+                        worker.payload,
+                        worker.attempt,
+                        error,
+                        retries,
+                        seed,
+                        history,
                     )
                     if settled is not None:
                         yield settled
+            for worker in idle:
+                try:
+                    worker.conn.send(None)
+                except OSError:
+                    pass  # already gone; the join below reaps it
+            for worker in idle:
+                worker.process.join(timeout=5.0)
         finally:
-            for conn, slot in running.items():
-                _kill_process(slot.process)
-                conn.close()
+            # Joined workers pass through untouched; anything still alive
+            # (interrupt, exception, a worker deaf to its sentinel) dies.
+            for worker in [*idle, *running.values()]:
+                _kill_process(worker.process)
+                worker.conn.close()
 
     def _settle_failure(
         self,
-        slot: _Slot,
+        payload: _Payload,
+        attempt: int,
         error: str,
         retries: list[tuple[float, _Payload, int]],
         seed: int,
@@ -981,19 +1059,19 @@ class CampaignRunner:
         ``retry-failed`` can explain the poisoning without re-running it.
         """
         policy = self.policy
-        index = slot.payload[0]
+        index = payload[0]
         entry = {
-            "attempt": slot.attempt,
+            "attempt": attempt,
             "error": error,
             "delay": None,
             "deadline": policy.chunk_timeout,
         }
         history.setdefault(index, []).append(entry)
-        if slot.attempt < policy.max_attempts:
+        if attempt < policy.max_attempts:
             delay = faults.backoff_delay(
                 policy.backoff_base,
                 policy.backoff_cap,
-                slot.attempt,
+                attempt,
                 f"chunk{index}",
                 seed,
             )
@@ -1001,10 +1079,10 @@ class CampaignRunner:
             telemetry.event(
                 "chunk.retry",
                 chunk=index,
-                next_attempt=slot.attempt + 1,
+                next_attempt=attempt + 1,
                 delay=delay,
             )
-            retries.append((time.monotonic() + delay, slot.payload, slot.attempt + 1))
+            retries.append((time.monotonic() + delay, payload, attempt + 1))
             return None
         if not policy.quarantine:
             raise ChunkPoisonedError(

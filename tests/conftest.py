@@ -9,6 +9,13 @@ from repro.graph.topology import ChainTopology, RingTopology
 from repro.robots.algorithms import PEF1, PEF2, PEF3Plus
 
 
+def pytest_configure(config: pytest.Config) -> None:
+    """Register the suite's custom markers."""
+    config.addinivalue_line(
+        "markers", "slow: a long-running case (deselect with -m 'not slow')"
+    )
+
+
 @pytest.fixture
 def ring6() -> RingTopology:
     """A 6-node ring."""

@@ -10,9 +10,15 @@ forgiven, conflicting or mismatched checkpoints are refused.
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import repro
 
 from scenario_testlib import make_tiny_dynamics_scenario as tiny_dyn_spec
 from scenario_testlib import make_tiny_scenario as tiny_spec
@@ -338,6 +344,57 @@ class TestBackendPortability:
         obj = runner_for(tmp_path, "o", backend="object")
         obj.run(spec)
         assert packed.store.load_records(spec) == obj.store.load_records(spec)
+
+
+# Runs both tiny campaigns with ``jobs=2`` under the start method named
+# on argv. Guarded: ``spawn``/``forkserver`` workers must not re-run it.
+_START_METHOD_SCRIPT = """
+import json, multiprocessing, sys
+from repro.scenarios import CampaignRunner, ResultStore, ScenarioSpec
+if __name__ == "__main__":
+    method, root, *specs = sys.argv[1:]
+    multiprocessing.set_start_method(method)
+    for data in specs:
+        spec = ScenarioSpec.from_dict(json.loads(data))
+        outcome = CampaignRunner(ResultStore(root), jobs=2).run(spec)
+        assert outcome.status.complete, outcome.status.summary()
+"""
+
+
+class TestStartMethodParity:
+    """Report bytes never depend on how worker processes are started."""
+
+    def test_reports_identical_under_fork_forkserver_spawn(
+        self, tmp_path: Path
+    ) -> None:
+        methods = [
+            method
+            for method in ("fork", "forkserver", "spawn")
+            if method in multiprocessing.get_all_start_methods()
+        ]
+        specs = [tiny_spec(), tiny_dyn_spec()]
+        reference = runner_for(tmp_path, "ref")
+        for spec in specs:
+            reference.run(spec)
+        src = Path(repro.__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(src), env.get("PYTHONPATH")])
+        )
+        for method in methods:
+            root = tmp_path / method
+            subprocess.run(
+                [
+                    sys.executable, "-c", _START_METHOD_SCRIPT, method,
+                    str(root), *(json.dumps(spec.to_dict()) for spec in specs),
+                ],
+                env=env, check=True, timeout=120,
+            )
+            store = ResultStore(root)
+            for spec in specs:
+                assert store.report_path(spec).read_bytes() == (
+                    reference.store.report_path(spec).read_bytes()
+                ), (method, spec.name)
 
 
 class TestStoreRobustness:

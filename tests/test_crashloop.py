@@ -6,8 +6,10 @@ kill a real ``os._exit`` mid-append in a real child process, tearing the
 checkpoint log's final record — converges, cycle by resumed cycle, on a
 final report *byte-identical* to an uninterrupted run's. Alongside it:
 the supervised executor's dead-worker respawn, per-chunk deadlines,
-quarantine/degraded semantics, and the signal path (SIGTERM lands as
-exit code 130 with a store the strict reader still accepts).
+quarantine/degraded semantics, its persistent workers (one per job
+slot, retired on failure, never outliving the run), and the signal path
+(SIGTERM lands as exit code 130 with a store the strict reader still
+accepts).
 """
 
 from __future__ import annotations
@@ -18,9 +20,11 @@ import os
 import signal
 import sys
 import time
+from collections import Counter
 
 import pytest
 
+from repro import telemetry
 from repro.errors import (
     EXIT_INTERRUPTED,
     CampaignInterruptedError,
@@ -171,7 +175,10 @@ class TestSupervisedExecutor:
         assert status.degraded and status.failed_chunks == (1,)
         record = store.load_records(spec)[1]
         assert record["failed"] is True and record["attempts"] == 2
-        assert "ChunkTimeoutError" in record["error"]
+        assert record["error"] == (
+            "ChunkTimeoutError: chunk 1 exceeded the 0.5s per-chunk "
+            "deadline (attempt 2)"
+        )
 
     def test_quarantine_off_raises_chunk_poisoned(self, tmp_path):
         spec = make_tiny_scenario()
@@ -199,6 +206,121 @@ class TestSupervisedExecutor:
         # Retried appends may leave identical duplicate lines; the
         # strict reader dedups them, the tallies never double-count.
         assert outcome.status.total == 24
+
+
+def _traced_events(trace_dir, name):
+    return [e for e in telemetry.load_trace(trace_dir) if e["name"] == name]
+
+
+class _InterruptAfterFirstRecord(CampaignRunner):
+    """Raises the SIGINT flag once the first record is checkpointed."""
+
+    def _append_with_retry(self, spec, record, plan):
+        super()._append_with_retry(spec, record, plan)
+        self._signal = signal.SIGINT
+
+
+def _slow_supervised_campaign(root: str) -> None:
+    """Child body for the orphan test: a traced, slow ``jobs=2`` run."""
+    CampaignRunner(
+        ResultStore(os.path.join(root, "store")),
+        jobs=2,
+        telemetry=os.path.join(root, "trace"),
+        faults=FaultPlan(seed=0, delay=1.0, delay_seconds=0.3),
+    ).run(make_tiny_scenario(chunk_size=1))
+
+
+def _pid_alive(pid: int) -> bool:
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+class TestPersistentWorkers:
+    """One long-lived worker per job slot, retired on any failure."""
+
+    def test_clean_run_starts_one_worker_per_job_slot(self, tmp_path):
+        spec = make_tiny_scenario(chunk_size=1)  # 24 chunks
+        trace = tmp_path / "trace"
+        outcome = CampaignRunner(
+            ResultStore(tmp_path / "store"), jobs=2, telemetry=trace
+        ).run(spec)
+        assert outcome.status.complete and outcome.chunks_run == 24
+        spawns = _traced_events(trace, "worker.spawn")
+        assert len(spawns) == 2
+        attempts = _traced_events(trace, "chunk.attempt")
+        assert len(attempts) == 24
+        pids = {e["pid"] for e in attempts}
+        assert pids <= {e["attrs"]["worker_pid"] for e in spawns}
+        assert len(pids) <= 2
+
+    def test_crash_retires_only_the_failed_worker(self, tmp_path):
+        spec = make_tiny_scenario(chunk_size=1)
+        trace = tmp_path / "trace"
+        outcome = CampaignRunner(
+            ResultStore(tmp_path / "store"),
+            jobs=2,
+            policy=RetryPolicy(max_attempts=3, backoff_base=0.0),
+            faults=FaultPlan(seed=0, crash_chunks=(0,)),
+            telemetry=trace,
+        ).run(spec)
+        assert outcome.status.failed_chunks == (0,)
+        crashes = _traced_events(trace, "worker.crash")
+        assert [e["attrs"]["attempt"] for e in crashes] == [1, 2, 3]
+        # Every crash costs exactly one fresh worker; nothing else does.
+        assert len(_traced_events(trace, "worker.spawn")) == 2 + len(crashes)
+        served = Counter(
+            e["pid"] for e in _traced_events(trace, "chunk.attempt")
+        )
+        assert sum(served.values()) == 23
+        assert max(served.values()) > 1  # survivors keep serving
+        record = ResultStore(tmp_path / "store").load_records(spec)[0]
+        assert record["error"] == (
+            "WorkerCrashError: worker for chunk 0 died with exit code "
+            f"{KILL_EXIT_CODE} before delivering a tally (attempt 3)"
+        )
+
+    def test_no_worker_outlives_a_run(self, tmp_path):
+        spec = make_tiny_scenario(chunk_size=1)
+        CampaignRunner(ResultStore(tmp_path / "done"), jobs=2).run(spec)
+        assert multiprocessing.active_children() == []
+        runner = _InterruptAfterFirstRecord(
+            ResultStore(tmp_path / "interrupted"), jobs=2
+        )
+        with pytest.raises(CampaignInterruptedError):
+            runner.run(spec)
+        assert multiprocessing.active_children() == []
+        assert len(runner.store.load_records(spec)) >= 1
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self"), reason="needs /proc to watch pids"
+    )
+    def test_workers_exit_when_the_runner_is_killed(self, tmp_path):
+        # Under fork a worker inherits the supervisor's end of its own
+        # pipe, so only the parent-death watch lets it notice SIGKILL.
+        child = multiprocessing.get_context("fork").Process(
+            target=_slow_supervised_campaign, args=(str(tmp_path),)
+        )
+        child.start()
+        deadline = time.monotonic() + 30
+        spawns: list = []
+        while len(spawns) < 2 and time.monotonic() < deadline:
+            time.sleep(0.05)
+            if (tmp_path / "trace").exists():
+                spawns = _traced_events(tmp_path / "trace", "worker.spawn")
+        os.kill(child.pid, signal.SIGKILL)
+        child.join()
+        pids = [e["attrs"]["worker_pid"] for e in spawns]
+        assert len(pids) == 2
+        deadline = time.monotonic() + 10
+        while any(map(_pid_alive, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        survivors = [pid for pid in pids if _pid_alive(pid)]
+        for pid in survivors:
+            os.kill(pid, signal.SIGKILL)
+        assert survivors == []
 
 
 def _interruptible_campaign(root: str) -> None:
