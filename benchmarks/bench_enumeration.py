@@ -31,6 +31,8 @@ import os
 
 import pytest
 
+from repro.graph.topology import RingTopology
+from repro.robots.algorithms import get_algorithm
 from repro.scenarios import (
     CampaignRunner,
     ResultStore,
@@ -41,6 +43,7 @@ from repro.verification.enumeration import (
     sweep_single_robot_memoryless,
     sweep_two_robot_memoryless,
 )
+from repro.verification.game import verify_exploration
 
 
 def test_single_robot_exhaustive(benchmark, save_artifact) -> None:
@@ -232,5 +235,49 @@ def test_vector_vs_packed_solver(
         f"(packed {packed_seconds:.3f}s, vector {vector_seconds:.3f}s; "
         f"floor {floor}x — set REPRO_BENCH_MIN_SPEEDUP to adjust)"
     )
-    merge_bench_sweeps(entries)
-    save_artifact("enumeration_solver_backends", line)
+    over_cap_entries, over_cap_line = _verify_over_cap(timed_best_of)
+    merge_bench_sweeps(entries + over_cap_entries)
+    save_artifact("enumeration_solver_backends", line + "\n" + over_cap_line)
+
+
+def _verify_over_cap(timed_best_of) -> tuple[list[dict], str]:
+    """``verify pef3+ n=8 k=3`` on packed vs the sparse vector solver.
+
+    One 32,768-state product space per chirality vector, eight times
+    the old dense cap: the single-instance path ``verify`` runs. Both
+    backends must agree on the verdict and the explored counts.
+    """
+    algorithm = get_algorithm("pef3+")
+    topology = RingTopology(8)
+    name = "verify_over_cap"
+    results = {}
+    for backend in ("packed", "vector"):
+        results[backend] = timed_best_of(
+            lambda backend=backend: verify_exploration(
+                algorithm, topology, k=3, backend=backend
+            )
+        )
+    (packed, packed_seconds), (vector, vector_seconds) = (
+        results["packed"], results["vector"]
+    )
+    assert packed.summary() == vector.summary()
+    entries = [
+        {
+            "sweep": name,
+            "backend": backend,
+            "n": verdict.n,
+            "k": verdict.k,
+            "states_explored": verdict.states_explored,
+            "transitions_explored": verdict.transitions_explored,
+            "seconds": round(seconds, 4),
+        }
+        for backend, (verdict, seconds) in results.items()
+    ]
+    speedup = packed_seconds / vector_seconds
+    entries.append({"sweep": name, "speedup": round(speedup, 1)})
+    line = (
+        f"{name}: pef3+ k=3 n=8 packed {packed_seconds:.3f}s, vector "
+        f"{vector_seconds:.3f}s — {speedup:.1f}x "
+        f"({vector.states_explored} states, explorable={vector.explorable})"
+    )
+    return entries, line

@@ -28,8 +28,8 @@ a checked-in result can always be traced to the commit that produced it.
 """
 
 
-def artifact_provenance() -> dict[str, str]:
-    """Git commit/branch of the tree writing an artifact (best-effort)."""
+def artifact_provenance() -> dict:
+    """Git commit/branch/dirty flag of the tree writing an artifact."""
     # The telemetry module owns the one git-stamping helper; benchmarks
     # reuse it so every artifact format carries identical provenance.
     import sys
@@ -112,13 +112,15 @@ def save_artifact(results_dir: Path):
 
     The one writer every benchmark's text artifact goes through: each
     file opens with a provenance header naming the artifact schema
-    version and the git commit/branch that produced it (the rendered
+    version and the git commit/branch that produced it, marked
+    ``dirty`` when ``src`` differed from that commit (the rendered
     content below the header is what EXPERIMENTS.md cross-checks).
     """
     provenance = artifact_provenance()
+    dirty = ", dirty" if provenance["dirty"] is True else ""
     header = (
         f"# repro-bench-artifact v{ARTIFACT_SCHEMA_VERSION}\n"
-        f"# git: {provenance['commit']} ({provenance['branch']})\n"
+        f"# git: {provenance['commit']} ({provenance['branch']}{dirty})\n"
     )
 
     def save(name: str, content: str) -> Path:

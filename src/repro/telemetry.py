@@ -546,12 +546,20 @@ def render_summary(summary: Mapping[str, Any]) -> str:
 # ----------------------------------------------------------------------
 # Baselines — continuous regression tracking
 # ----------------------------------------------------------------------
-def git_metadata() -> dict[str, str]:
-    """Best-effort git commit/branch of the working tree (for stamping)."""
-    meta = {}
+def git_metadata() -> dict[str, Any]:
+    """Best-effort git provenance of the working tree (for stamping).
+
+    ``commit`` and ``branch`` name ``HEAD``; ``dirty`` says whether
+    ``src`` differs from it (``git status --porcelain -- src``), so an
+    artifact written before the commit that carries it says so. Each
+    field is ``"unknown"`` when git cannot answer.
+    """
+    package = Path(__file__).resolve().parent
+    meta: dict[str, Any] = {}
     for key, args in (
         ("commit", ("rev-parse", "--short", "HEAD")),
         ("branch", ("rev-parse", "--abbrev-ref", "HEAD")),
+        ("dirty", ("status", "--porcelain", "--", str(package.parent))),
     ):
         try:
             meta[key] = subprocess.run(
@@ -560,10 +568,12 @@ def git_metadata() -> dict[str, str]:
                 text=True,
                 timeout=10,
                 check=True,
-                cwd=Path(__file__).parent,
+                cwd=package,
             ).stdout.strip()
         except (OSError, subprocess.SubprocessError):
             meta[key] = "unknown"
+    if meta["dirty"] != "unknown":
+        meta["dirty"] = bool(meta["dirty"])
     return meta
 
 

@@ -21,8 +21,10 @@ This subpackage decides it, through three mutually-checking layers:
   it a hard dependency;
 * :mod:`repro.verification.batch_solver` — the solver vector backend:
   whole chunks of tables *game-solved* in NumPy lockstep (dense product
-  spaces, bit-parallel reachability and winning-SCC detection), with the
-  same optional-NumPy contract and bit-identical verdicts;
+  spaces, bit-parallel reachability and winning-SCC detection), and
+  single instances of any size solved sparsely (int64-frontier BFS, a
+  vectorized winning-SCC screen), with the same optional-NumPy contract
+  and bit-identical verdicts;
 * :mod:`repro.verification.backends` — the one registry of backend
   names (solver vs simulation families, ``auto`` resolution) that the
   CLI, the chunk runners and the campaign runner all derive from;

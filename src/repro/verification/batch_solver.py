@@ -31,22 +31,32 @@ solved in lockstep:
   plus popcount per component. Tables proven trapped at a target drop
   out of the remaining targets, exactly like the scalar early exit.
 
-The per-table CSR view (:func:`reachable_csr`) feeds the certificate
-path in :mod:`repro.verification.game`: states ascending, per-state
-transitions in the scalar kernel's move order — the *same* canonical
-graph the packed backend now builds, so vector and packed verdicts and
-certificates are bit-identical by construction.
+Single instances — ``verify``, and sweep chunks whose space is not
+dense-eligible or that validate certificates — take the per-instance
+path, which beyond the dense cap scales with the reachable graph rather
+than the ``(n·S)^k`` space:
 
-NumPy stays optional: callers guard with :func:`have_numpy` /
-:func:`dense_eligible` and fall back to the scalar packed path (identical
-tallies) when the dependency is absent or a space is too large to
-materialize densely.
+* :func:`reachable_csr` — breadth-first over an int64 frontier
+  deduplicated against a sorted ``visited`` array (or, for a
+  dense-eligible space, over its cached :class:`DenseSpace`), emitting
+  the canonical CSR that :mod:`repro.verification.game` solves: states
+  ascending, per-state transitions in the scalar kernel's move order —
+  the *same* graph the packed backend builds, so vector and packed
+  verdicts and certificates are bit-identical by construction;
+* :class:`WinningScreen` — a yes/no winning-SCC test per target
+  (peeling plus Tarjan over deduplicated successor pairs, label unions
+  as one ``np.bitwise_or.at``), so the list-based search and the
+  certificate run only for the target it flags.
+
+NumPy stays optional: callers resolve the ``vector`` backend only when
+it imports, and chunks that are not :func:`dense_eligible` go per table
+through the sparse path (identical tallies either way).
 """
 
 from __future__ import annotations
 
 import time
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 try:  # NumPy is optional — the vector backend degrades to unavailable.
     import numpy as _np
@@ -103,6 +113,24 @@ def dense_eligible(kernel: PackedKernel) -> bool:
     return space * _branch_bound(kernel) <= MAX_DENSE_CELLS
 
 
+def _decode(states: "object", base: int, S: int, k: int) -> tuple:
+    """Decode packed states: ``(slots, positions, occupied, towers)``.
+
+    ``slots``/``positions`` are per-robot int64 arrays; ``occupied`` and
+    ``towers`` the occupied-node and multiplicity bitmasks per state.
+    """
+    np = _np
+    slots = [(states // base**i) % base for i in range(k)]
+    pos = [slot // S for slot in slots]
+    occ = np.zeros(states.shape, dtype=np.int64)
+    tow = np.zeros(states.shape, dtype=np.int64)
+    for p in pos:
+        bit = np.int64(1) << p
+        tow |= occ & bit
+        occ |= bit
+    return slots, pos, occ, tow
+
+
 class DenseSpace:
     """The table-independent geometry of one dense product space.
 
@@ -128,15 +156,9 @@ class DenseSpace:
         self.full_act = kernel.full_act
         space, S, k = self.space, self.S, self.k
 
-        ar = np.arange(space, dtype=np.int64)
-        slots = [(ar // self.base**i) % self.base for i in range(k)]
-        pos = [slot // S for slot in slots]
-        occ = np.zeros(space, dtype=np.int64)
-        tow = np.zeros(space, dtype=np.int64)
-        for p in pos:
-            bit = np.int64(1) << p
-            tow |= occ & bit
-            occ |= bit
+        slots, pos, occ, tow = _decode(
+            np.arange(space, dtype=np.int64), self.base, S, k
+        )
         self.occ = occ
 
         moves_pad, mcount = kernel.padded_moves(occ.tolist())
@@ -545,66 +567,535 @@ def solve_tables(
     return trapped, explored
 
 
-def reachable_csr(
-    kernel: PackedKernel, seeds: Sequence[int]
-) -> tuple[list[int], list[int], list[int], list[int], list[int], list[int]]:
-    """One table's reachable graph in canonical CSR form, densely.
+#: Largest packed-state radix power the int64 frontier can represent.
+_INT64_SPACE = 1 << 62
 
-    Returns ``(states, indptr, labels, succs, occ, seed_idx)`` as plain
-    Python lists: reached packed states ascending, per-state transitions
-    in the scalar kernel's move order (SSYNC mask-major /
-    activation-minor), occupied-node bitmask per state and seed indices
-    in first-occurrence order — exactly the CSR the packed backend
-    builds from ``PackedKernel.reachable``, so the shared solve phase in
-    :mod:`repro.verification.game` produces bit-identical verdicts and
-    certificates. Raises :class:`VerificationError` on the same
-    ``max_states`` overflow the scalar path reports.
+
+def fits_int64(kernel: PackedKernel) -> bool:
+    """Whether the instance's packed states fit the int64 frontier.
+
+    Every ``(n·S)^k`` below 2^62 does; beyond it (double-digit robot
+    counts) the caller runs the scalar kernel, whose states are Python
+    ints.
+    """
+    return kernel._base ** kernel.k < _INT64_SPACE
+
+
+def _unique(values: "object") -> "object":
+    """Sorted distinct values of an int64 array.
+
+    Sort plus neighbour compare: several times faster on large int64
+    arrays than ``np.unique``, which hashes.
+    """
+    np = _np
+    values = np.sort(values)
+    keep = np.empty(values.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
+def _ranges(indptr: "object", rows: "object") -> "object":
+    """Flat positions of the CSR blocks of ``rows``, in ``rows`` order."""
+    np = _np
+    start = indptr[rows]
+    count = indptr[rows + 1] - start
+    offset = np.cumsum(count) - count
+    return np.repeat(start - offset, count) + np.arange(int(count.sum()))
+
+
+_geometry_cache: dict = {}
+
+
+def _sparse_geometry(kernel: PackedKernel) -> list:
+    """Table-independent per-robot geometry of the sparse solver.
+
+    Per robot, over every slot ``position·S + state`` and every
+    ``(tower, left port present, right port present)`` combination
+    (index ``slot·8 + tower·4 + left·2 + right``): the Look–Compute view
+    row, the pointer-row base, an edge mask with exactly those ports
+    present, and the robot's position — plus the left/right port masks
+    per node. A robot's landing depends on the adversary's move only
+    through its two ports (its pointed edge is one of them), so these
+    eight combinations cover every move. Process-cached per
+    ``(topology, chirality, S)``: robots of equal chirality share one
+    entry.
+    """
+    out = []
+    for chirality, tables in zip(kernel.chiralities, kernel._robot_tables):
+        key = (kernel.topology, chirality, kernel.state_count)
+        cached = _geometry_cache.get(key)
+        if cached is None:
+            np = _np
+            S = kernel.state_count
+            slot = np.arange(kernel._base, dtype=np.int64)[:, None]
+            pos, state = slot // S, slot % S
+            combo = np.arange(8, dtype=np.int64)[None, :]
+            tower, left_on, right_on = combo >> 2, combo >> 1 & 1, combo & 1
+            left, right, mm, md = (
+                np.asarray(table, dtype=np.int64) for table in tables
+            )
+            cached = (
+                left, right, mm, md,
+                state * 8 + tower + 4 * left_on + 2 * right_on,
+                pos * 2,
+                left[pos] * left_on | right[pos] * right_on,
+                pos,
+            )
+            _geometry_cache[key] = cached
+        out.append(cached)
+    return out
+
+
+def _landing_tables(kernel: PackedKernel) -> list:
+    """Per robot, the next-slot table of one instance.
+
+    Indexed like :func:`_sparse_geometry`'s combinations; it folds the
+    instance's Look–Compute table, direction bits and the move into one
+    gather per robot and transition.
+    """
+    np = _np
+    trans, dirs, _initial = kernel.batch_tables()
+    S = kernel.state_count
+    geometries = _sparse_geometry(kernel)
+    by_geometry: dict = {}
+    for geometry in geometries:
+        if id(geometry) not in by_geometry:
+            _l, _r, mm, md, view, row, ports, pos = geometry
+            new = trans[view]
+            pointer = row + dirs[new]
+            landing = np.where((ports & mm[pointer]) != 0, md[pointer], pos)
+            by_geometry[id(geometry)] = (landing * S + new).ravel()
+    return [by_geometry[id(geometry)] for geometry in geometries]
+
+
+def _grid(kernel: PackedKernel, states: "object") -> tuple:
+    """The table-independent half of expanding ``states``.
+
+    Returns ``(occ, deg, labels, valid, rows, slots)``: occupied masks,
+    out-degrees and flat transition labels — state-major in kernel move
+    order, the normalized edge masks of
+    :meth:`PackedKernel.moves_for_occupied` crossed under SSYNC with
+    every non-empty activation mask (mask-major, activation-minor),
+    exactly the scalar kernel's per-state order — plus the padded
+    ``(state, move)`` grid's valid-prefix mask, each robot's
+    next-slot-table index per grid cell and each robot's current slot.
+    """
+    np = _np
+    k, base, S = kernel.k, kernel._base, kernel.state_count
+    slots, pos, occ, tow = _decode(states, base, S, k)
+    uocc, inv = np.unique(occ, return_inverse=True)
+    moves_pad, mcount = kernel.padded_moves(uocc.tolist())
+    deg = mcount[inv]
+    moves = moves_pad[inv]
+    valid = np.arange(moves.shape[1]) < deg[:, None]
+    rows = []
+    for i, geometry in enumerate(_sparse_geometry(kernel)):
+        left, right = geometry[0][pos[i]], geometry[1][pos[i]]
+        row = slots[i] * 8 + ((tow >> pos[i]) & 1) * 4
+        rows.append(
+            row[:, None]
+            + 2 * ((moves & left[:, None]) != 0)
+            + ((moves & right[:, None]) != 0)
+        )
+    labels = moves[valid]
+    if kernel.scheduler == "ssync":
+        acts = np.arange(1, kernel.full_act + 1, dtype=np.int64)
+        labels = (labels[:, None] | (acts << kernel.act_shift)).ravel()
+        deg = deg * kernel.full_act
+    return occ, deg, labels, valid, rows, slots
+
+
+def _successors(kernel: PackedKernel, grid: tuple, tables: list) -> "object":
+    """The table-dependent half: successors on the padded grid.
+
+    Shape ``(states, moves)``, or ``(states, moves, activations)`` under
+    SSYNC; indexing with the grid's ``valid`` mask and flattening aligns
+    it with the grid's labels. Padding cells repeat move 0, a real
+    transition, so the padded form is safe for reachability as is.
+    """
+    np = _np
+    _occ, _deg, _labels, _valid, rows, slots = grid
+    k, base = kernel.k, kernel._base
+    landed = [table[row] for table, row in zip(tables, rows)]
+    if kernel.scheduler != "ssync":
+        succ = landed[k - 1]
+        for i in range(k - 2, -1, -1):
+            succ = succ * base + landed[i]
+        return succ
+    per_act = []
+    for act in range(1, kernel.full_act + 1):
+        succ = 0
+        for i in range(k - 1, -1, -1):
+            part = landed[i] if act >> i & 1 else slots[i][:, None]
+            succ = succ * base + part
+        per_act.append(np.broadcast_to(succ, landed[0].shape))
+    return np.stack(per_act, axis=-1)
+
+
+def _overflow(kernel: PackedKernel) -> VerificationError:
+    """The scalar kernel's ``max_states`` error, word for word."""
+    return VerificationError(
+        f"reachable state space exceeds {kernel.max_states} states "
+        f"for {kernel.algorithm.name!r} on {kernel.topology!r}"
+    )
+
+
+def _reach_dense(kernel: PackedKernel, seeds: "object") -> tuple:
+    """Reachability over the cached :class:`DenseSpace` (small spaces).
+
+    The successors of every state of the space come from one
+    :func:`_expand` call; each BFS level is then a gather and a scatter
+    into a boolean mask. Returns ``(visited, occ, deg, labels, succ)``,
+    rows in ``visited`` order.
     """
     np = _np
     sp = dense_space(kernel)
     trans, dirs, _initial = kernel.batch_tables()
-    seed_list = [int(s) for s in seeds]
-    succ = _expand(sp, trans[None, :], dirs[None, :])
-    visited, _vis_mask = _reachable(sp, _adjacency(sp, succ), seed_list)
-    reached = np.nonzero(visited[0])[0]
-    if reached.size > kernel.max_states:
-        raise VerificationError(
-            f"reachable state space exceeds {kernel.max_states} states "
-            f"for {kernel.algorithm.name!r} on {kernel.topology!r}"
-        )
-    rank = np.full(sp.space, -1, dtype=np.int64)
-    rank[reached] = np.arange(reached.size)
-    deg = sp.deg[reached]
-    valid = np.arange(sp.branch)[None, :] < deg[:, None]
-    rows = succ[0][reached]
-    succs = rank[rows[valid]]
-    labels = sp.labels[reached][valid]
-    indptr = np.concatenate(
-        [np.zeros(1, dtype=np.int64), np.cumsum(deg)]
-    )
-    seed_idx: list[int] = []
-    seen: set[int] = set()
-    for seed in seed_list:
-        idx = int(rank[seed])
-        if idx not in seen:
-            seen.add(idx)
-            seed_idx.append(idx)
+    succ = _expand(sp, trans[None, :], dirs[None, :])[0]
+    seen = np.zeros(sp.space, dtype=bool)
+    seen[seeds] = True
+    frontier = np.flatnonzero(seen)
+    while frontier.size:
+        fresh = np.zeros_like(seen)
+        fresh[succ[frontier]] = True
+        fresh &= ~seen
+        seen |= fresh
+        frontier = np.flatnonzero(fresh)
+    visited = np.flatnonzero(seen)
+    if visited.size > kernel.max_states:
+        raise _overflow(kernel)
+    deg = sp.deg[visited]
+    valid = np.arange(sp.branch) < deg[:, None]
     return (
-        reached.tolist(),
-        indptr.tolist(),
-        labels.tolist(),
-        succs.tolist(),
-        sp.occ[reached].tolist(),
-        seed_idx,
+        visited, sp.occ[visited], deg,
+        sp.labels[visited][valid].astype(np.int64),
+        succ[visited][valid].astype(np.int64),
     )
+
+
+def _reach_levels(kernel: PackedKernel, seeds: "object") -> tuple:
+    """Level-by-level reachability over an int64 frontier.
+
+    Each level expands every transition of the frontier at once and
+    deduplicates the successors against the sorted ``visited`` array
+    with a sort + ``searchsorted``; each level's transitions are kept,
+    so no state is expanded twice. Returns ``(visited, occ, deg,
+    labels, succ)``, rows in ``visited`` order.
+    """
+    np = _np
+    tables = _landing_tables(kernel)
+    frontier = visited = _unique(seeds)
+    levels = []
+    while frontier.size:
+        grid = _grid(kernel, frontier)
+        succ = _successors(kernel, grid, tables)[grid[3]].ravel()
+        levels.append((frontier,) + grid[:3] + (succ,))
+        cand = _unique(succ)
+        at = np.searchsorted(visited, cand)
+        fresh = visited[np.minimum(at, visited.size - 1)] != cand
+        frontier = cand[fresh]
+        if not frontier.size:
+            break
+        visited = np.sort(np.concatenate((visited, frontier)))
+        if visited.size > kernel.max_states:
+            raise _overflow(kernel)
+    if not levels:
+        empty = np.zeros(0, dtype=np.int64)
+        return (empty,) * 5
+    level_states, occ, deg, labels, succ = (
+        np.concatenate(parts) for parts in zip(*levels)
+    )
+    # Levels are disjoint, so sorting their states yields ``visited``;
+    # the transition blocks follow their states into ascending order.
+    order = np.argsort(level_states, kind="stable")
+    level_ptr = np.zeros(order.size + 1, dtype=np.int64)
+    np.cumsum(deg, out=level_ptr[1:])
+    flat = _ranges(level_ptr, order)
+    return visited, occ[order], deg[order], labels[flat], succ[flat]
+
+
+def reachable_csr(kernel: PackedKernel, seeds: Sequence[int]) -> tuple:
+    """One table's reachable graph in canonical CSR form, sparsely.
+
+    Breadth-first over an int64 frontier (:func:`_reach_levels`): only
+    reached states are expanded, so the cost follows the reachable
+    graph, not the ``(n·S)^k`` space. Spaces that are
+    :func:`dense_eligible` instead gather from their process-cached
+    :class:`DenseSpace` (:func:`_reach_dense`): they are many BFS levels
+    of a few states each, where per-level expansion overhead dominates.
+
+    Returns ``(states, indptr, labels, succs, occ, seed_idx)`` as int64
+    ndarrays: reached packed states ascending, per-state transitions in
+    the scalar kernel's move order, occupied-node bitmask per state and
+    seed indices in first-occurrence order — exactly the CSR the packed
+    backend builds from ``PackedKernel.reachable``, so the shared solve
+    phase in :mod:`repro.verification.game` produces bit-identical
+    verdicts and certificates. Raises :class:`VerificationError` on the
+    same ``max_states`` overflow the scalar path reports.
+    """
+    np = _np
+    _require_numpy()
+    seed_arr = np.asarray(list(seeds), dtype=np.int64)
+    reach = _reach_dense if dense_eligible(kernel) else _reach_levels
+    visited, occ, deg, labels, succ = reach(kernel, seed_arr)
+    indptr = np.zeros(visited.size + 1, dtype=np.int64)
+    np.cumsum(deg, out=indptr[1:])
+    seed_rank = np.searchsorted(visited, seed_arr)
+    _ranks, first = np.unique(seed_rank, return_index=True)
+    return (
+        visited,
+        indptr,
+        labels,
+        np.searchsorted(visited, succ),
+        occ,
+        seed_rank[np.sort(first)],
+    )
+
+
+def csr_sccs(
+    ptr: Sequence[int],
+    dst: Sequence[int],
+    roots: Iterable[int],
+    allowed: Sequence[bool],
+) -> Iterator[list[int]]:
+    """Iterative Tarjan over CSR successor lists, within ``allowed``.
+
+    Starts from ``roots`` in order (skipping disallowed and already
+    visited ones), follows node ``v``'s successors
+    ``dst[ptr[v]:ptr[v + 1]]`` in list order, ignores successors outside
+    ``allowed`` and yields each strongly-connected component as soon as
+    it is complete — its members in stack-pop order. Pure Python: the
+    list-based winning-SCC search of :mod:`repro.verification.game`
+    (which stops at the first winning component) and
+    :class:`WinningScreen` share it.
+    """
+    count = len(allowed)
+    index = [-1] * count
+    low = [0] * count
+    on_stack = [False] * count
+    stack: list[int] = []
+    counter = 0
+    for root in roots:
+        if not allowed[root] or index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, ptr[root])]
+        while work:
+            node, cursor = work[-1]
+            end = ptr[node + 1]
+            advanced = False
+            while cursor < end:
+                child = dst[cursor]
+                cursor += 1
+                if not allowed[child]:
+                    continue
+                if index[child] < 0:
+                    work[-1] = (node, cursor)
+                    index[child] = low[child] = counter
+                    counter += 1
+                    stack.append(child)
+                    on_stack[child] = True
+                    work.append((child, ptr[child]))
+                    advanced = True
+                    break
+                if on_stack[child] and index[child] < low[node]:
+                    low[node] = index[child]
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                if low[node] < low[parent]:
+                    low[parent] = low[node]
+            if low[node] != index[node]:
+                continue
+            component = []
+            while True:
+                member = stack.pop()
+                on_stack[member] = False
+                component.append(member)
+                if member == node:
+                    break
+            yield component
+
+
+def _peel(alive: "object", rows: "object", ptr: "object", nbr: "object") -> None:
+    """Peel, in place, the ``alive`` nodes no alive ``rows`` edge enters.
+
+    ``(ptr, nbr)`` is the CSR of the same loop-free edge list whose
+    tails are ``rows``. Kahn-style: each round drops the nodes whose
+    in-degree from alive nodes fell to zero and decrements their heads,
+    so the whole peel touches every edge once.
+    """
+    np = _np
+    live = alive[rows] & alive[nbr]
+    deg = np.bincount(nbr[live], minlength=alive.size)
+    peel = np.flatnonzero(alive & (deg == 0))
+    while peel.size:
+        alive[peel] = False
+        heads = nbr[_ranges(ptr, peel)]
+        heads, hits = np.unique(heads[alive[heads]], return_counts=True)
+        deg[heads] -= hits
+        peel = heads[deg[heads] == 0]
+
+
+def _rotation_closed(kernel: PackedKernel, states: "object") -> bool:
+    """Whether rotating every robot one node on maps ``states`` into itself."""
+    np = _np
+    k, base, S, n = kernel.k, kernel._base, kernel.state_count, kernel.n
+    if not states.size:
+        return True
+    slots, pos, _occ, _tow = _decode(states, base, S, k)
+    rotated = 0
+    for i in range(k - 1, -1, -1):
+        rotated = rotated * base + (pos[i] + 1) % n * S + slots[i] % S
+    at = np.minimum(np.searchsorted(states, rotated), states.size - 1)
+    return bool((states[at] == rotated).all())
+
+
+class WinningScreen:
+    """A vectorized yes/no winning-SCC test over one reachable CSR graph.
+
+    ``screen(target, prop)`` is True iff
+    :func:`repro.verification.game._winning_scc_csr` finds a winning SCC
+    for ``target`` — same arena (target-avoiding states; under ``live``
+    only those reachable from target-avoiding seeds through avoiding
+    states), same criterion — but it only answers yes or no, which frees
+    it from the canonical search order:
+
+    * parallel transitions collapse into successor *pairs* once per graph
+      (several times fewer edges than transitions);
+    * arena nodes that no other arena node enters, or that enter none,
+      are peeled off first (:func:`_peel`, both directions, self-loops
+      ignored) — each is a singleton SCC whose only possible internal
+      transitions are self-loops;
+    * Tarjan (:func:`csr_sccs`) runs over the remaining core only;
+    * per-component label unions are one ``np.bitwise_or.at`` over the
+      internal transitions, then the budget and SSYNC-activation tests;
+    * on a ring whose reachable set is closed under rotation, the
+      ``perpetual`` verdict is the same for every target — rotating by
+      one node maps the graph onto itself and target ``v``'s arena onto
+      target ``v + 1``'s, preserving SCCs, label popcounts and
+      activations — so it is computed once. (``live`` arenas also
+      depend on the rotation-reduced seeds, so they are not shared.)
+
+    The caller runs the exact list-based search, which also yields the
+    SCC and its certificate, only for a target the screen flags.
+    """
+
+    def __init__(self, kernel: PackedKernel, csr: tuple) -> None:
+        np = _np
+        states, indptr, labels, succs, self.occ, self.seeds = csr
+        count = self.occ.size
+        self.symmetric = kernel.topology.is_ring and _rotation_closed(
+            kernel, states
+        )
+        self._verdicts: dict = {}
+        # Successor pairs, each with the OR of its parallel transitions'
+        # labels: a pair is internal to a component exactly when its
+        # transitions are, so unions over pairs equal unions over
+        # transitions.
+        key = np.repeat(np.arange(count), np.diff(indptr)) * count + succs
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        first = np.flatnonzero(np.diff(key, prepend=-1))
+        self.pair_label = np.bitwise_or.reduceat(labels[order], first)
+        key = key[first]
+        pair_src, pair_dst = key // count, key % count
+        self.pair_src, self.pair_dst = pair_src, pair_dst
+        self.pair_ptr = np.searchsorted(pair_src, np.arange(count + 1))
+        # The loop-free pairs, by tail and by head, for peeling.
+        loop_free = pair_src != pair_dst
+        fwd_src, fwd_dst = pair_src[loop_free], pair_dst[loop_free]
+        order = np.argsort(fwd_dst, kind="stable")
+        self.forward = (
+            fwd_src, np.searchsorted(fwd_src, np.arange(count + 1)), fwd_dst
+        )
+        bwd_dst = fwd_dst[order]
+        self.backward = (
+            bwd_dst, np.searchsorted(bwd_dst, np.arange(count + 1)),
+            fwd_src[order],
+        )
+        self.budget = 1 if kernel.topology.is_ring else 0
+        self.full_mask = kernel.full_mask
+        self.ssync = kernel.scheduler == "ssync"
+        self.act_shift = kernel.act_shift
+        self.full_act = kernel.full_act
+
+    def arena(self, target: int, prop: str) -> "object":
+        """The boolean arena mask of ``target`` under ``prop``."""
+        np = _np
+        avoid = (self.occ >> target & 1) == 0
+        if prop != "live":
+            return avoid
+        allowed = np.zeros(avoid.size, dtype=bool)
+        frontier = _unique(self.seeds[avoid[self.seeds]])
+        allowed[frontier] = True
+        while frontier.size:
+            nxt = _unique(self.pair_dst[_ranges(self.pair_ptr, frontier)])
+            frontier = nxt[avoid[nxt] & ~allowed[nxt]]
+            allowed[frontier] = True
+        return allowed
+
+    def __call__(self, target: int, prop: str) -> bool:
+        if prop == "perpetual" and self.symmetric:
+            target = 0
+        key = (target, prop)
+        if key not in self._verdicts:
+            self._verdicts[key] = self._wins(target, prop)
+        return self._verdicts[key]
+
+    def _wins(self, target: int, prop: str) -> bool:
+        np = _np
+        arena = self.arena(target, prop)
+        core = arena.copy()
+        _peel(core, *self.forward)
+        _peel(core, *self.backward)
+        src, ptr, dst = self.forward
+        keep = core[src] & core[dst]
+        comp = [-1] * core.size
+        ncomp = 0
+        for component in csr_sccs(
+            np.searchsorted(src[keep], np.arange(core.size + 1)).tolist(),
+            dst[keep].tolist(),
+            np.flatnonzero(core).tolist(),
+            core.tolist(),
+        ):
+            for member in component:
+                comp[member] = ncomp
+            ncomp += 1
+        comp = np.array(comp, dtype=np.int64)
+        single = np.flatnonzero(arena & ~core)
+        comp[single] = ncomp + np.arange(single.size)
+        ncomp += single.size
+        owner = comp[self.pair_src]
+        internal = (owner >= 0) & (owner == comp[self.pair_dst])
+        owner = owner[internal]
+        union = np.zeros(ncomp, dtype=np.int64)
+        np.bitwise_or.at(union, owner, self.pair_label[internal])
+        union = union[np.bincount(owner, minlength=ncomp) > 0]
+        missing = ~union & self.full_mask
+        if self.budget:
+            ok = (missing & (missing - 1)) == 0
+        else:
+            ok = missing == 0
+        if self.ssync:
+            ok &= (union >> self.act_shift) == self.full_act
+        return bool(ok.any())
 
 
 __all__ = [
     "MAX_DENSE_STATES",
     "MAX_DENSE_CELLS",
     "DenseSpace",
+    "WinningScreen",
     "dense_eligible",
     "dense_space",
+    "fits_int64",
     "have_numpy",
     "reachable_csr",
     "solve_tables",

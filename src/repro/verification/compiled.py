@@ -501,10 +501,11 @@ class CompiledTables:
         Returns ``(transitions, dir_bits, initial_index)`` with the two
         tables as int64 ndarrays ready to be stacked into a batch —
         consumed by both vector dispatch paths: the simulation runner
-        (:func:`repro.verification.batch.simulate_batch`) and the dense
+        (:func:`repro.verification.batch.simulate_batch`) and the vector
         game solver (:mod:`repro.verification.batch_solver`, which
         gathers whole-chunk successor tensors straight from the stacked
-        tables). Cached per instance like the scalar tables. Raises
+        tables, or one instance's next-slot tables for its sparse
+        path). Cached per instance like the scalar tables. Raises
         :class:`~repro.errors.VerificationError` when NumPy — an
         optional dependency — is absent.
         """

@@ -74,6 +74,10 @@ _InternalTransition = tuple[SysState, object, SysState]
 #: A CSR-internal transition: (state index, label, successor index).
 _CsrInternal = tuple[int, int, int]
 
+#: Graphs with at most this many transitions skip the vector screen:
+#: the list-based search over them is cheaper than the screen's setup.
+_SCREEN_MIN_TRANSITIONS = 1 << 12
+
 PROPERTIES = ("perpetual", "live")
 """Checkable exploration properties.
 
@@ -184,11 +188,11 @@ def verify_exploration(
     ``backend`` picks the exploration substrate: ``"packed"`` (default)
     runs entirely on the integer kernel — same verdict, same state and
     transition counts, ~an order of magnitude faster; ``"vector"``
-    additionally builds the reachable graph densely in NumPy
-    (:mod:`repro.verification.batch_solver`) and produces verdicts *and*
+    builds the reachable graph breadth-first in NumPy at any size and
+    screens every target with a vectorized SCC pass
+    (:mod:`repro.verification.batch_solver`), producing verdicts *and*
     certificates bit-identical to ``"packed"`` (both solve the same
-    canonical CSR graph; instances too large to materialize densely fall
-    back to the scalar kernel transparently); ``"auto"`` resolves to
+    canonical CSR graph); ``"auto"`` resolves to
     ``"vector"`` when NumPy is importable and ``"packed"`` otherwise;
     ``"object"`` is the original engine-driven path, kept as the
     semantics oracle. Certificates from the object backend satisfy the
@@ -295,9 +299,11 @@ def _verify_csr(
     — and share the solve phase below (attractor, iterative Tarjan,
     lasso extraction, all in pure Python over flat lists). The packed
     path builds the CSR from ``PackedKernel.reachable``; the vector path
-    builds the identical arrays densely in NumPy
-    (:func:`repro.verification.batch_solver.reachable_csr`), so verdicts,
-    counts *and certificates* agree bit-for-bit across the two.
+    builds the identical arrays sparsely in NumPy
+    (:func:`repro.verification.batch_solver.reachable_csr`) and asks the
+    vectorized :class:`~repro.verification.batch_solver.WinningScreen`
+    first, so the list-based search runs only on a target it flags.
+    Verdicts, counts *and certificates* agree bit-for-bit across the two.
     """
     total_states = 0
     total_transitions = 0
@@ -307,15 +313,24 @@ def _verify_csr(
             scheduler=scheduler,
         )
         seeds = kernel.initial_states(placements)
-        if backend == "vector" and batch_solver.dense_eligible(kernel):
-            csr = _CsrGraph(*batch_solver.reachable_csr(kernel, seeds))
+        screen = csr = None
+        if backend == "vector" and batch_solver.fits_int64(kernel):
+            arrays = batch_solver.reachable_csr(kernel, seeds)
+            states, transitions = arrays[0].size, arrays[2].size
+            if transitions > _SCREEN_MIN_TRANSITIONS:
+                screen = batch_solver.WinningScreen(kernel, arrays)
         else:
             occupied: dict[PackedState, int] = {}
             graph = kernel.reachable(seeds, occupied_out=occupied)
             csr = _csr_from_packed(graph, occupied, seeds)
-        total_states += len(csr.states)
-        total_transitions += len(csr.labels)
+            states, transitions = len(csr.states), len(csr.labels)
+        total_states += states
+        total_transitions += transitions
         for target in topology.nodes:
+            if screen is not None and not screen(target, prop):
+                continue
+            if csr is None:
+                csr = _CsrGraph(*(array.tolist() for array in arrays))
             if prop == "live":
                 allowed = _avoid_reachable_csr(csr, 1 << target)
                 if not any(allowed):
@@ -611,10 +626,11 @@ def _winning_scc_csr(
     Labels are bitmasks, so the recurrent-edge union is a running OR and
     the budget check a popcount; under SSYNC the same running OR
     accumulates the activation bits, making the fairness check one shift
-    and compare. Tarjan runs iteratively over the CSR arrays with roots
-    in ascending state order and per-state transitions in kernel move
-    order — fully deterministic, so both backends emit the same SCC
-    first and extract the same certificate.
+    and compare. Tarjan (:func:`~repro.verification.batch_solver.csr_sccs`)
+    runs iteratively over the CSR arrays with roots in ascending state
+    order and per-state transitions in kernel move order — fully
+    deterministic, so both backends emit the same SCC first and extract
+    the same certificate.
     """
     budget = 1 if kernel.topology.is_ring else 0
     full_mask = kernel.full_mask
@@ -634,72 +650,25 @@ def _winning_scc_csr(
     if not any(avoiding):
         return None
 
-    UNSEEN = -1
-    index = [UNSEEN] * count
-    low = [0] * count
-    on_stack = [False] * count
-    stack: list[int] = []
-    counter = 0
-    for root in range(count):
-        if not avoiding[root] or index[root] != UNSEEN:
+    for component in batch_solver.csr_sccs(
+        indptr, succs, range(count), avoiding
+    ):
+        component_set = set(component)
+        internal: list[_CsrInternal] = []
+        union = 0
+        for state in component:
+            for t in range(indptr[state], indptr[state + 1]):
+                succ = succs[t]
+                if succ in component_set:
+                    internal.append((state, labels[t], succ))
+                    union |= labels[t]
+        if not internal:
             continue
-        work = [(root, indptr[root])]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            node, cursor = work[-1]
-            advanced = False
-            end = indptr[node + 1]
-            while cursor < end:
-                child = succs[cursor]
-                cursor += 1
-                if not avoiding[child]:
-                    continue
-                if index[child] == UNSEEN:
-                    work[-1] = (node, cursor)
-                    index[child] = low[child] = counter
-                    counter += 1
-                    stack.append(child)
-                    on_stack[child] = True
-                    work.append((child, indptr[child]))
-                    advanced = True
-                    break
-                if on_stack[child] and index[child] < low[node]:
-                    low[node] = index[child]
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                if low[node] < low[parent]:
-                    low[parent] = low[node]
-            if low[node] != index[node]:
-                continue
-            component = []
-            while True:
-                member = stack.pop()
-                on_stack[member] = False
-                component.append(member)
-                if member == node:
-                    break
-            component_set = set(component)
-            internal: list[_CsrInternal] = []
-            union = 0
-            for state in component:
-                for t in range(indptr[state], indptr[state + 1]):
-                    succ = succs[t]
-                    if succ in component_set:
-                        internal.append((state, labels[t], succ))
-                        union |= labels[t]
-            if not internal:
-                continue
-            if (full_mask & ~union).bit_count() > budget:
-                continue
-            if ssync and union >> act_shift != full_act:
-                continue
-            return component_set, internal
+        if (full_mask & ~union).bit_count() > budget:
+            continue
+        if ssync and union >> act_shift != full_act:
+            continue
+        return component_set, internal
     return None
 
 

@@ -83,10 +83,9 @@ class ProductSystem:
     backend:
         ``"packed"`` (default) explores reachability on the int-packed
         kernel (:mod:`repro.verification.kernel`) and decodes the result;
-        ``"vector"`` builds the same graph densely in NumPy
-        (:mod:`repro.verification.batch_solver`; requires NumPy, and
-        falls back to the scalar kernel for spaces too large to
-        materialize densely); ``"auto"`` resolves vector → packed by
+        ``"vector"`` builds the same graph breadth-first in NumPy
+        (:func:`repro.verification.batch_solver.reachable_csr`; requires
+        NumPy); ``"auto"`` resolves vector → packed by
         NumPy availability; ``"object"`` steps
         :func:`repro.sim.engine.step_fsync` (or
         :func:`repro.sim.semi_sync.step_ssync`) per transition. All
@@ -272,11 +271,12 @@ class ProductSystem:
             packed_seeds = (
                 None if seeds is None else [kernel.encode(seed) for seed in seeds]
             )
-            if self.backend == "vector" and batch_solver.dense_eligible(kernel):
+            if self.backend == "vector" and batch_solver.fits_int64(kernel):
                 if packed_seeds is None:
                     packed_seeds = kernel.initial_states()
                 states, indptr, labels, succs, _occ, _seed_idx = (
-                    batch_solver.reachable_csr(kernel, packed_seeds)
+                    array.tolist()
+                    for array in batch_solver.reachable_csr(kernel, packed_seeds)
                 )
                 packed_graph = {
                     states[i]: [

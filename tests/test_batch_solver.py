@@ -40,7 +40,16 @@ from repro.scenarios import (
 from repro.verification import batch, batch_solver
 from repro.verification.backends import resolve_solver_backend
 from repro.verification.certificates import validate_certificate
-from repro.verification.game import verify_exploration
+from repro.graph.topology import arbitrary_placements
+from repro.robots.algorithms import get_algorithm
+from repro.serialize import dumps
+from repro.verification.game import (
+    _avoid_reachable_csr,
+    _csr_from_packed,
+    _winning_scc_csr,
+    default_chirality_vectors,
+    verify_exploration,
+)
 from repro.verification.kernel import PackedKernel
 from repro.verification.sweeps import family_maker, family_space, sweep_chunk
 
@@ -159,6 +168,157 @@ class TestCertificateEquality:
         )
         if vec.certificate is not None:
             validate_certificate(vec.certificate, algorithm)
+
+
+def _packed_csr(kernel: PackedKernel, seeds: list) -> object:
+    occupied: dict = {}
+    graph = kernel.reachable(seeds, occupied_out=occupied)
+    return _csr_from_packed(graph, occupied, seeds)
+
+
+_CSR_FIELDS = ("states", "indptr", "labels", "succs", "occ", "seeds")
+
+
+@requires_numpy
+class TestSparseCsr:
+    """The sparse CSR builder equals the scalar kernel's, field by field.
+
+    Cases straddle the 4096-state dense cap (:func:`dense_eligible`):
+    two-robot n=4 spaces are expanded from the cached
+    :class:`DenseSpace`, ``pef3+`` at n=5/6 (8,000 and 13,824 states)
+    level by level.
+    """
+
+    @pytest.mark.parametrize(
+        "algo,n,k,scheduler,ill_initiated,vector_index",
+        [
+            ("two:91", 4, 2, "fsync", False, 1),
+            ("two:91", 4, 2, "ssync", False, 0),
+            ("two:200", 4, 2, "fsync", True, 1),
+            ("pef1", 5, 1, "fsync", False, 0),
+            ("pef1", 5, 1, "ssync", False, 0),
+            ("pef3+", 6, 3, "fsync", False, 1),
+            ("pef3+", 5, 3, "ssync", False, 0),
+            ("pef3+", 5, 3, "fsync", True, 1),
+        ],
+    )
+    def test_sparse_csr_equals_packed(
+        self, algo, n, k, scheduler, ill_initiated, vector_index
+    ) -> None:
+        if algo.startswith("two:"):
+            algorithm = family_maker("two")(int(algo[4:]))
+        else:
+            algorithm = get_algorithm(algo)
+        topology = RingTopology(n)
+        kernel = PackedKernel(
+            topology, algorithm, default_chirality_vectors(k)[vector_index],
+            scheduler=scheduler,
+        )
+        placements = arbitrary_placements(topology, k) if ill_initiated else None
+        seeds = kernel.initial_states(placements)
+        if ill_initiated:
+            assert any(len(set(p)) < k for p in placements)  # towers
+        arrays = batch_solver.reachable_csr(kernel, seeds)
+        expected = _packed_csr(kernel, seeds)
+        for field, array in zip(_CSR_FIELDS, arrays):
+            assert array.tolist() == getattr(expected, field), field
+        # The screen's live arena and verdicts are the list path's.
+        screen = batch_solver.WinningScreen(kernel, arrays)
+        for target in topology.nodes:
+            allowed = _avoid_reachable_csr(expected, 1 << target)
+            assert screen.arena(target, "live").tolist() == allowed
+            for prop, arena in (("perpetual", None), ("live", allowed)):
+                exact = _winning_scc_csr(kernel, expected, target, arena)
+                assert screen(target, prop) == (exact is not None)
+
+    @pytest.mark.parametrize(
+        "bits,scheduler,ill_initiated",
+        [(91, "fsync", False), (91, "ssync", False), (200, "fsync", True)],
+    )
+    def test_dense_and_level_paths_agree(
+        self, bits, scheduler, ill_initiated
+    ) -> None:
+        import numpy as np
+
+        topology = RingTopology(4)
+        kernel = PackedKernel(
+            topology, family_maker("two")(bits),
+            default_chirality_vectors(2)[1], scheduler=scheduler,
+        )
+        assert batch_solver.dense_eligible(kernel)
+        placements = arbitrary_placements(topology, 2) if ill_initiated else None
+        seeds = np.asarray(kernel.initial_states(placements), dtype=np.int64)
+        dense = batch_solver._reach_dense(kernel, seeds)
+        levels = batch_solver._reach_levels(kernel, seeds)
+        for got, want in zip(dense, levels):
+            assert got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("algo,n,k", [("pef2", 4, 2), ("pef3+", 5, 3)])
+    def test_max_states_overflow_matches_packed(self, algo, n, k) -> None:
+        messages = []
+        for backend in ("vector", "packed"):
+            with pytest.raises(VerificationError) as info:
+                verify_exploration(
+                    get_algorithm(algo), RingTopology(n), k=k,
+                    max_states=20, backend=backend,
+                )
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert "exceeds 20 states" in messages[0]
+
+
+@requires_numpy
+class TestWinningScreen:
+    """The vectorized screen answers exactly like the list-based search."""
+
+    @given(
+        bits=st.integers(min_value=0, max_value=family_space("two") - 1),
+        n=st.sampled_from([4, 5]),
+        scheduler=st.sampled_from(["fsync", "ssync"]),
+        prop=st.sampled_from(["perpetual", "live"]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_screen_matches_winning_scc(self, bits, n, scheduler, prop) -> None:
+        algorithm = family_maker("two")(bits)
+        topology = RingTopology(n)
+        for vector in default_chirality_vectors(2):
+            kernel = PackedKernel(
+                topology, algorithm, vector, scheduler=scheduler
+            )
+            seeds = kernel.initial_states()
+            arrays = batch_solver.reachable_csr(kernel, seeds)
+            csr = _packed_csr(kernel, seeds)
+            screen = batch_solver.WinningScreen(kernel, arrays)
+            for target in topology.nodes:
+                allowed = (
+                    _avoid_reachable_csr(csr, 1 << target)
+                    if prop == "live" else None
+                )
+                exact = _winning_scc_csr(kernel, csr, target, allowed)
+                assert screen(target, prop) == (exact is not None), target
+
+    def test_rotation_closure_is_checked_not_assumed(self) -> None:
+        kernel = PackedKernel(
+            RingTopology(6), get_algorithm("pef3+"),
+            default_chirality_vectors(3)[0],
+        )
+        states = batch_solver.reachable_csr(kernel, kernel.initial_states())[0]
+        assert batch_solver._rotation_closed(kernel, states)
+        # Drop one state: its predecessor under rotation now maps outside.
+        assert not batch_solver._rotation_closed(kernel, states[1:])
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_certificates_byte_identical_over_the_cap(self, n: int) -> None:
+        algorithm = get_algorithm("pef3+-always-turn")
+        texts = []
+        for backend in ("vector", "packed"):
+            verdict = verify_exploration(
+                algorithm, RingTopology(n), k=3, backend=backend
+            )
+            assert not verdict.explorable
+            validate_certificate(verdict.certificate, algorithm)
+            texts.append(dumps(verdict.certificate))
+        assert texts[0] == texts[1]
 
 
 @requires_numpy

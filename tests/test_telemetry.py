@@ -292,6 +292,33 @@ class TestSummarize:
         assert "syn" in text and "tables/s" in text and "phase.simulate" in text
 
 
+class TestGitMetadata:
+    @pytest.mark.parametrize("porcelain,dirty", [("", False), (" M src/x.py", True)])
+    def test_dirty_flag_reads_status_of_src(
+        self, monkeypatch, porcelain, dirty
+    ) -> None:
+        calls = []
+
+        def fake_run(argv, **kwargs):
+            calls.append(argv)
+            out = porcelain if argv[1] == "status" else "abc1234"
+            return telemetry.subprocess.CompletedProcess(argv, 0, out, "")
+
+        monkeypatch.setattr(telemetry.subprocess, "run", fake_run)
+        meta = telemetry.git_metadata()
+        assert meta == {"commit": "abc1234", "branch": "abc1234", "dirty": dirty}
+        (status,) = [argv for argv in calls if argv[1] == "status"]
+        assert status[2:4] == ("--porcelain", "--")
+        assert Path(status[4]).name == "src"
+
+    def test_unknown_without_git(self, monkeypatch) -> None:
+        def no_git(argv, **kwargs):
+            raise FileNotFoundError("git")
+
+        monkeypatch.setattr(telemetry.subprocess, "run", no_git)
+        assert set(telemetry.git_metadata().values()) == {"unknown"}
+
+
 class TestBaseline:
     def _summary(self):
         return telemetry.summarize(_synthetic_events())
@@ -301,7 +328,7 @@ class TestBaseline:
         path = telemetry.write_baseline(tmp_path / "b.json", summary)
         loaded = telemetry.load_baseline(path)
         assert loaded["format"] == telemetry.BASELINE_FORMAT
-        assert set(loaded["git"]) == {"commit", "branch"}
+        assert set(loaded["git"]) == {"commit", "branch", "dirty"}
         ok, lines = telemetry.diff_baseline(summary, loaded, threshold=0.30)
         assert ok and any("ok" in line for line in lines)
 
