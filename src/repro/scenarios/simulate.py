@@ -29,10 +29,11 @@ resume, dedup and report machinery apply unchanged:
 execution substrates with one semantics:
 
 * ``backend="vector"`` (the fastest; requires NumPy, an *optional*
-  dependency) stacks every table's flat compiled tables into one array
+  dependency) decodes the chunk's bit patterns straight into one table
+  stack, folds each distinct schedule mask into a slot-transition table
   and steps all (table, chirality-vector, placement) runs of a chunk in
-  NumPy lockstep — structure-of-arrays rows, one fancy-index gather per
-  robot per round, per-row done masks with periodic compaction
+  NumPy lockstep — structure-of-arrays rows, one gather per robot row
+  per round, per-row done masks with periodic compaction
   (:mod:`repro.verification.batch`);
 * ``backend="packed"`` compiles each table once per
   chirality vector into flat integer tables
@@ -93,7 +94,7 @@ from repro.sim.semi_sync import step_ssync
 from repro.types import Chirality, EdgeId, NodeId, RobotId
 from repro.verification.backends import resolve_simulation_backend
 from repro.verification.compiled import CompiledTables
-from repro.verification.sweeps import family_maker, family_plan
+from repro.verification.sweeps import family_maker, family_plan, family_stack
 
 _ChunkOutcome = tuple[int, int, list[str], int]
 """(total, trapped, explorer names in input order, rounds simulated)."""
@@ -288,7 +289,8 @@ def simulate_chunk(
     # Phase accounting, armed-gated so the untraced hot loop pays one
     # boolean. Compile time is accumulated around the explicit
     # compilation work (schedule masks / step precompute, per-table
-    # CompiledTables construction); simulate time is the chunk remainder.
+    # CompiledTables construction, or the vector path's decoded table
+    # stack and slot tables); simulate time is the chunk remainder.
     # Emitted once per chunk as phase.* spans — purely observational, the
     # tally below never depends on it.
     traced = telemetry.armed()
@@ -303,8 +305,8 @@ def simulate_chunk(
         telemetry.phase("simulate", simulate_s, tables=len(bits_chunk))
 
     if backend == "vector":
-        # The NumPy lockstep kernel: compile every table of the chunk
-        # into one stacked flat-table array, then step all
+        # The NumPy lockstep kernel: decode the chunk's bit patterns
+        # straight into one table stack, then step all
         # (table, chirality-vector, placement) runs at once. The kernel
         # reproduces the scalar first-failure accounting exactly
         # (see repro.verification.batch), so the tally below is
@@ -313,18 +315,13 @@ def simulate_chunk(
 
         mark = time.perf_counter()
         masks = schedule_masks(schedule, spec.horizon)
-        compiled = [
-            CompiledTables(
-                topology, maker(bits), vectors[0], scheduler=spec.scheduler
-            )
-            for bits in bits_chunk
-        ]
+        stack = family_stack(spec.robots.family, bits_chunk)
         compile_s = time.perf_counter() - mark
         if midpoint:
             faults.fault_point("simulate-mid")
         trapped_flags, rounds, timings = batch.simulate_batch(
             topology,
-            compiled,
+            stack,
             vectors,
             placements,
             masks,
@@ -334,8 +331,8 @@ def simulate_chunk(
         total = len(bits_chunk)
         trapped = sum(trapped_flags)
         explorers = [
-            tables.algorithm.name
-            for tables, hit in zip(compiled, trapped_flags)
+            maker(bits).name
+            for bits, hit in zip(bits_chunk, trapped_flags)
             if not hit
         ]
         if traced:

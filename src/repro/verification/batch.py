@@ -11,25 +11,28 @@ once** as structure-of-arrays NumPy state:
 
 * one *run* per ``(table, chirality-vector, placement)`` triple —
   ``runs = tables × vectors × placements``, a few thousand for a
-  192-table chunk at n=4 — and one *row* per ``(robot, run)`` pair,
-  laid out robot-major so each robot's block is a contiguous slice
-  (``rows = k × runs``); per-row position and state-index columns,
-  exactly the ISSUE's ``(batch, k)`` state flattened so that one
-  fancy-index **gather** covers every robot of every run per round;
-* occupancy / ``seen`` / ``late`` visited bitsets as int64 columns per
-  run (rings are tiny — n < 63 bits — and int64 avoids NumPy's
-  uint64-with-Python-int float-promotion trap);
-* every table's flat Look–Compute tables
-  (:meth:`~repro.verification.compiled.CompiledTables.batch_tables`)
-  stacked into one ``(tables, S*8)`` array with the per-state direction
-  bit folded in (``value = successor*2 + dir_bit``), so Compute is a
-  single gather and the Move destination a second;
+  192-table chunk at n=4 — and per robot one row of ``(k, runs)``
+  columns, so a robot's rows (under SSYNC, the active robot's) are one
+  contiguous slice;
+* the chunk arrives as one decoded table stack
+  (:func:`repro.verification.sweeps.family_stack`: ``(B, S·8)``
+  transitions straight from the bit patterns, no per-table objects),
+  folded to ``successor·2 + dir_bit``;
+* a robot's *slot* is ``position·S + state``, and for every distinct
+  mask the schedule uses, one vectorized pass builds a
+  **slot-transition table** ``F[mask][(table, chirality, tower_bit,
+  slot)] → next slot`` — edge view, Look–Compute and Move of a round in
+  one entry. Each row keeps a cursor into its ``(table, chirality)``
+  block (entries hold next cursors), so a round is one gather per
+  stepped row plus the multiplicity offset, and a ``slot → node bit``
+  lookup feeds the towers, occupancy and the ``seen``/``late``
+  bitsets (narrow unsigned ints: uint8 up to n = 8);
 * per-run done masks give the live/perpetual early exits, and finished
   runs are **compacted** away (boolean-filter of the state columns)
   whenever enough of the batch has settled, so a chunk whose tables
   mostly trap early costs little more than the scalar early-exit path;
-* under SSYNC only the active robot's contiguous block is stepped —
-  the round-robin discipline becomes a slice, not a mask.
+* under SSYNC only the active robot's row is stepped — the round-robin
+  discipline becomes a slice, not a mask.
 
 **Exact tally reproduction.** The scalar path breaks out of the
 chirality/placement loops at a table's *first failing run* and counts
@@ -62,7 +65,7 @@ except ImportError:  # pragma: no cover - exercised by the no-NumPy CI leg
 from repro.errors import VerificationError
 from repro.graph.topology import Topology
 from repro.types import Chirality, NodeId
-from repro.verification.compiled import CompiledTables, _node_tables
+from repro.verification.compiled import _node_tables
 
 #: Compact the row arrays once the finished fraction reaches this.
 COMPACT_THRESHOLD = 0.5
@@ -108,50 +111,88 @@ def as_batch_arrays(
 def _np_node_tables(topology: Topology, chirality: Chirality) -> tuple:
     """ndarray node tables per (topology, chirality), process-cached.
 
-    ``(left_masks, right_masks, move_masks, move_dests, stay_dests)`` —
-    the first four mirror :func:`repro.verification.compiled._node_tables`;
-    ``stay_dests[pointer] = pointer >> 1`` is the landing node of a move
-    whose pointed edge is absent (the robot stays put).
+    ``(left_masks, right_masks, move_masks, move_dests)``, mirroring
+    :func:`repro.verification.compiled._node_tables`.
     """
     key = (topology, chirality)
     cached = _np_node_cache.get(key)
     if cached is None:
-        left, right, move_masks, move_dests = _node_tables(topology, chirality)
-        cached = (
-            _np.array(left, dtype=_np.int64),
-            _np.array(right, dtype=_np.int64),
-            _np.array(move_masks, dtype=_np.int64),
-            _np.array(move_dests, dtype=_np.int64),
-            _np.arange(2 * topology.n, dtype=_np.int64) >> 1,
+        cached = tuple(
+            _np.array(part, dtype=_np.int64)
+            for part in _node_tables(topology, chirality)
         )
         _np_node_cache[key] = cached
     return cached
 
 
-def _mask_tables(mask: int, node_tables: list[tuple], n: int) -> tuple:
-    """Flat edge-view and move-destination tables for one edge mask.
+def _slot_tables(
+    topology: Topology,
+    folded: "object",
+    blocks: Sequence[Chirality],
+    state_count: int,
+    masks: "object",
+) -> "object":
+    """The per-mask slot-transition tables of a table stack.
 
-    ``node_tables`` is the (robot, chirality-vector) cross product in
-    row-block order; the returned ``ev`` is indexed by ``block*n + node``
-    (value ``4*left_present + 2*right_present``) and ``dest`` by
-    ``block*2n + node*2 + dir_bit`` (the landing node of a move attempt
-    under this mask). Schedules repeat masks heavily (periodic families
-    cycle through a handful), so the caller memoizes per distinct mask.
+    A robot's *slot* is ``position·S + state``. Entry ``e`` of mask row
+    ``m`` of the returned ``(M, B·C·2·n·S)`` intp array belongs to table
+    ``b``, chirality block ``c`` (one per distinct chirality of the
+    run's vectors), multiplicity bit ``tower`` and slot, at
+    ``e = ((b·C + c)·2 + tower)·n·S + slot``; it holds the robot's next
+    slot under edge mask ``masks[m]`` — Look, Compute and Move of one
+    round folded into one entry — as the flat entry of that slot in the
+    same ``(b, c)`` block with ``tower = 0``. Values are therefore the
+    next round's indices as they stand: a row's cursor only needs its
+    multiplicity bit added (``+ n·S``) before the next gather.
+    ``folded`` is the ``(B, S·8)`` stack with each value
+    ``successor·2 + dir_bit``. Built in one vectorized pass: a gather of
+    the folded stack at each entry's view index, then a gather of a
+    small per-``(mask, block, slot, folded value)`` landing table.
     """
-    ev_parts = []
-    dest_parts = []
-    for left, right, move_masks, move_dests, stay in node_tables:
-        ev_parts.append(
-            ((mask & left) != 0).astype(_np.int64) * 4
-            + ((mask & right) != 0).astype(_np.int64) * 2
+    np = _np
+    n = topology.n
+    slots = n * state_count
+    out = 2 * state_count
+    node = np.arange(slots) // state_count
+    tables = [_np_node_tables(topology, chirality) for chirality in blocks]
+    left, right, move_masks, move_dests = (
+        np.stack(part) for part in zip(*tables)
+    )
+    mask = masks[:, None, None]
+    # View index per (mask, block, tower, slot): state row + edge view +
+    # the multiplicity bit.
+    edges = ((mask & left) != 0) * 4 + ((mask & right) != 0) * 2
+    view = (
+        (np.arange(slots) % state_count) * 8
+        + edges[:, :, None, node]
+        + np.arange(2)[:, None]
+    )
+    # Landing slot per (mask, block, slot, folded value): the pointed
+    # edge's far end when present, the robot's own node otherwise.
+    pointer = node[:, None] * 2 + (np.arange(out) & 1)
+    moved = (mask[..., None] & move_masks[:, pointer]) != 0
+    landing = np.where(moved, move_dests[:, pointer], node[:, None])
+    landing = (landing * state_count + (np.arange(out) >> 1)).ravel()
+    blocks_n = len(blocks)
+    lookup = (
+        np.arange(masks.size * blocks_n * slots).reshape(
+            masks.size, blocks_n, 1, slots
         )
-        dest_parts.append(_np.where((mask & move_masks) != 0, move_dests, stay))
-    return _np.concatenate(ev_parts), _np.concatenate(dest_parts)
+        * out
+    )
+    step = landing[lookup + np.take(folded, view, axis=1)]
+    batch = folded.shape[0]
+    step += (np.arange(batch * blocks_n) * (2 * slots)).reshape(
+        batch, 1, blocks_n, 1, 1
+    )
+    return np.ascontiguousarray(step.swapaxes(0, 1)).reshape(
+        masks.size, batch * blocks_n * 2 * slots
+    )
 
 
 def simulate_batch(
     topology: Topology,
-    tables: Sequence[CompiledTables],
+    stack: tuple,
     vectors: Sequence[Sequence[Chirality]],
     placements: Sequence[Sequence[NodeId]],
     masks: Sequence[int],
@@ -160,92 +201,80 @@ def simulate_batch(
 ) -> tuple[list[bool], int, dict[str, float]]:
     """Run every (table, chirality-vector, placement) run in lockstep.
 
-    Returns ``(trapped, rounds, timings)``: per-table trapped flags in
-    input order, the total executed-round count under the scalar path's
-    first-failure accounting (see the module docstring), and wall-clock
-    seconds per kernel phase (``compile``/``gather``/``compact`` — the
-    caller decides whether to emit them as telemetry).
+    ``stack`` is a decoded ``(S, trans (B, S·8), dirs (S,))`` table stack
+    (:func:`repro.verification.sweeps.family_stack`); every table starts
+    in state 0. Returns ``(trapped, rounds, timings)``: per-table trapped
+    flags in input order, the total executed-round count under the
+    scalar path's first-failure accounting (see the module docstring),
+    and wall-clock seconds per kernel phase (``compile``/``gather``/
+    ``compact`` — the caller decides whether to emit them as telemetry).
     """
     _require_numpy()
+    np = _np
     timings = {"compile": 0.0, "gather": 0.0, "compact": 0.0}
-    if not tables:
+    state_count, trans, dirs = stack
+    if trans.shape[1] != state_count * 8:
+        raise VerificationError(
+            "vector backend needs a uniform state count per batch; "
+            f"got {trans.shape[1] // 8} and {state_count}"
+        )
+    batch = trans.shape[0]
+    if not batch:
         return [], 0, timings
 
     start = time.perf_counter()
     n = topology.n
-    k = tables[0].k
-    batch = len(tables)
+    k = len(vectors[0])
     n_vectors = len(vectors)
     n_placements = len(placements)
     runs_per_table = n_vectors * n_placements
-    state_count = tables[0].state_count
-    s8 = state_count * 8
-    one = _np.int64(1)
-    full = _np.int64((1 << n) - 1)
+    slots = n * state_count
+    # Node bitsets in the narrowest dtype that holds them (uint8 up to
+    # n = 8): the per-round OR/compare passes are memory-bound.
+    bit_dtype = np.min_scalar_type((1 << n) - 1)
+    full = bit_dtype.type((1 << n) - 1)
 
-    # -- compile: stack every table's flat tables into one folded array.
-    # transitions[s*8+view] and dir_bits[s] collapse into one table
-    # whose value is successor*2 + dir_bit: Compute and the move
-    # direction come out of a single gather.
-    trans_rows = []
-    dir_rows = []
-    initials = []
-    for compiled in tables:
-        transitions, dir_bits, initial_index = compiled.batch_tables()
-        if transitions.shape[0] != s8:
-            raise VerificationError(
-                "vector backend needs a uniform state count per batch; "
-                f"got {transitions.shape[0] // 8} and {state_count}"
-            )
-        trans_rows.append(transitions)
-        dir_rows.append(dir_bits)
-        initials.append(initial_index)
-    trans2 = _np.stack(trans_rows)
-    dir2 = _np.stack(dir_rows)
-    td_flat = (trans2 * 2 + _np.take_along_axis(dir2, trans2, axis=1)).ravel()
+    # -- compile: one slot-transition table per distinct schedule mask.
+    # transitions[s*8+view] and dir_bits[s] fold into successor*2 +
+    # dir_bit, and the slot tables fold in the edge view and the move.
+    blocks = list(dict.fromkeys(c for vector in vectors for c in vector))
+    distinct, mask_of_round = np.unique(
+        np.array(masks, dtype=np.int64), return_inverse=True
+    )
+    step_tables = _slot_tables(
+        topology, trans * 2 + dirs[trans], blocks, state_count, distinct
+    )
+    # Entry → node bit of its slot, over the whole flat table.
+    node_bits = np.tile(
+        (1 << (np.arange(slots) // state_count)).astype(bit_dtype),
+        batch * len(blocks) * 2,
+    )
 
     # Run layout: run = table * runs_per_table + vector * placements +
     # placement — exactly the scalar loop nesting, which the post-hoc
-    # first-failure accounting below depends on. Row layout: row =
-    # robot * runs + run (robot-major blocks, so a robot's — or under
-    # SSYNC, the active robot's — rows are one contiguous slice).
+    # first-failure accounting below depends on. Row i of the (k, runs)
+    # columns is robot i; its cursor is the flat slot-table entry of its
+    # slot within its (table, chirality) block.
     runs = batch * runs_per_table
-    vec_of_run = _np.tile(
-        _np.repeat(_np.arange(n_vectors, dtype=_np.int64), n_placements), batch
+    vec_of_run = np.tile(
+        np.repeat(np.arange(n_vectors, dtype=np.intp), n_placements), batch
     )
-    td_base = _np.repeat(_np.arange(batch, dtype=_np.int64) * s8, runs_per_table)
-    place2 = _np.array(placements, dtype=_np.int64)  # (P, k)
+    table_of_run = np.repeat(np.arange(batch, dtype=np.intp), runs_per_table)
+    block_of = np.array(
+        [[blocks.index(vector[i]) for vector in vectors] for i in range(k)],
+        dtype=np.intp,
+    )
+    place2 = np.array(placements, dtype=np.intp)  # (P, k)
+    cursor = (
+        table_of_run * len(blocks) + block_of[:, vec_of_run]
+    ) * (2 * slots) + np.tile(place2.T, batch * n_vectors) * state_count
+    bits = np.take(node_bits, cursor)
 
-    # The (robot, chirality-vector) node-table blocks, in row-block
-    # order; per-row offsets select each row's block in the per-mask
-    # ev/dest tables built by _mask_tables.
-    node_tables = [
-        _np_node_tables(topology, vector[i])
-        for i in range(k)
-        for vector in vectors
-    ]
-    block_of_row = _np.concatenate(
-        [vec_of_run + i * n_vectors for i in range(k)]
-    )
-    ev_off = block_of_row * n
-    dest_off = block_of_row * (2 * n)
-    td_base_rows = _np.tile(td_base, k)
-
-    pos = _np.concatenate(
-        [_np.tile(place2[:, i], batch * n_vectors) for i in range(k)]
-    )
-    st = _np.tile(
-        _np.repeat(_np.array(initials, dtype=_np.int64), runs_per_table), k
-    )
-
-    seen = _np.zeros(runs, dtype=_np.int64)
-    pos2 = pos.reshape(k, runs)
-    for i in range(k):
-        seen |= one << pos2[i]
-    late = _np.zeros(runs, dtype=_np.int64)
-    explored = _np.zeros(runs, dtype=bool)
-    executed = _np.zeros(runs, dtype=_np.int64)
-    orig = _np.arange(runs, dtype=_np.int64)
+    seen = np.bitwise_or.reduce(bits, axis=0)
+    late = np.zeros(runs, dtype=bit_dtype)
+    explored = np.zeros(runs, dtype=bool)
+    executed = np.zeros(runs, dtype=np.int64)
+    orig = np.arange(runs, dtype=np.int64)
     timings["compile"] = time.perf_counter() - start
 
     horizon = len(masks)
@@ -253,14 +282,10 @@ def simulate_batch(
     live = prop == "live"
 
     def compact(keep) -> None:
-        nonlocal pos, st, seen, late, ev_off, dest_off, td_base_rows, orig
+        nonlocal cursor, bits, seen, late, orig
         mark = time.perf_counter()
-        keep_rows = _np.tile(keep, k)
-        pos = pos[keep_rows]
-        st = st[keep_rows]
-        ev_off = ev_off[keep_rows]
-        dest_off = dest_off[keep_rows]
-        td_base_rows = td_base_rows[keep_rows]
+        cursor = cursor[:, keep]
+        bits = bits[:, keep]
         seen = seen[keep]
         late = late[keep]
         orig = orig[keep]
@@ -275,58 +300,43 @@ def simulate_batch(
             compact(~done)
 
     mark = time.perf_counter()
-    mask_cache: dict[int, tuple] = {}
     # Runs already decided but not yet compacted away: their tally was
     # written the round they finished; they keep stepping harmlessly
     # (runs are independent) until the next compaction drops them.
-    pending = _np.zeros(orig.size, dtype=bool)
+    pending = np.zeros(orig.size, dtype=bool)
     for t in range(horizon):
-        r = orig.size
-        if r == 0:
+        if orig.size == 0:
             break
-        mask = masks[t]
-        cached = mask_cache.get(mask)
-        if cached is None:
-            cached = _mask_tables(mask, node_tables, n)
-            mask_cache[mask] = cached
-        ev_table, dest_table = cached
+        step = step_tables[mask_of_round[t]]
 
-        pos2 = pos.reshape(k, r)
+        # A robot on a tower reads the tower half of its block.
         if k == 1:
-            tower_bit = None
+            lift = None
         elif k == 2:
-            tower_bit = _np.tile((pos2[0] == pos2[1]).astype(_np.int64), 2)
+            lift = (bits[0] == bits[1]) * slots
         else:
-            bits = one << pos2
-            occupied = _np.zeros(r, dtype=_np.int64)
-            towers = _np.zeros(r, dtype=_np.int64)
-            for i in range(k):
+            occupied = bits[0]
+            towers = np.zeros_like(occupied)
+            for i in range(1, k):
                 towers |= occupied & bits[i]
-                occupied |= bits[i]
-            tower_bit = ((towers >> pos2) & one).ravel()
+                occupied = occupied | bits[i]
+            lift = ((towers & bits) != 0) * slots
 
         if ssync:
             # Round-robin SSYNC: exactly robot t mod k acts this round.
-            lo = (t % k) * r
-            sl = slice(lo, lo + r)
-            view = (st[sl] << 3) + ev_table[ev_off[sl] + pos[sl]]
-            if tower_bit is not None:
-                view += tower_bit[sl]
-            td = td_flat[td_base_rows[sl] + view]
-            pos[sl] = dest_table[dest_off[sl] + (pos[sl] << one) + (td & one)]
-            st[sl] = td >> one
+            i = t % k
+            index = cursor[i]
+            if lift is not None:
+                index = index + (lift if k == 2 else lift[i])
+            cursor[i] = np.take(step, index)
+            bits[i] = np.take(node_bits, cursor[i])
         else:
-            view = (st << 3) + ev_table[ev_off + pos]
-            if tower_bit is not None:
-                view += tower_bit
-            td = td_flat[td_base_rows + view]
-            pos = dest_table[dest_off + (pos << one) + (td & one)]
-            st = td >> one
+            cursor = np.take(step, cursor if lift is None else cursor + lift)
+            bits = np.take(node_bits, cursor)
 
-        pos2 = pos.reshape(k, r)
-        occupancy = one << pos2[0]
+        occupancy = bits[0]
         for i in range(1, k):
-            occupancy |= one << pos2[i]
+            occupancy = occupancy | bits[i]
         if t < mid:
             seen |= occupancy
         else:
@@ -362,10 +372,10 @@ def simulate_batch(
             # worth it once enough runs settled; finished runs keep
             # stepping in place meanwhile (harmless: runs are
             # independent, and their tally is already written).
-            if pending.mean() >= COMPACT_THRESHOLD:
+            if np.count_nonzero(pending) >= COMPACT_THRESHOLD * orig.size:
                 timings["gather"] += time.perf_counter() - mark
                 compact(~pending)
-                pending = _np.zeros(orig.size, dtype=bool)
+                pending = np.zeros(orig.size, dtype=bool)
                 mark = time.perf_counter()
     timings["gather"] += time.perf_counter() - mark
 
@@ -385,9 +395,9 @@ def simulate_batch(
     trapped = fail.any(axis=1)
     first_fail = fail.argmax(axis=1)
     cumulative = executed2.cumsum(axis=1)
-    counted = _np.where(
+    counted = np.where(
         trapped,
-        cumulative[_np.arange(batch), first_fail],
+        cumulative[np.arange(batch), first_fail],
         cumulative[:, -1],
     )
     return (

@@ -270,7 +270,8 @@ def dense_space(kernel: PackedKernel) -> DenseSpace:
 def _expand(sp: DenseSpace, trans: "object", dirs: "object") -> "object":
     """The dense successor tensor ``(B, space, branch)`` of a table stack.
 
-    ``trans``/``dirs`` are ``(B, S·8)`` / ``(B, S)`` int stacks. Per
+    ``trans``/``dirs`` are ``(B, S·8)`` / ``(B, S)`` int stacks (a
+    ``(1, S)`` ``dirs`` row broadcasts over the batch). Per
     robot one gather folds Look–Compute and direction into
     ``new_state·2 + dir_bit``; the landing slot is then a select between
     the two precompiled per-direction slot tables plus the new state.
@@ -505,7 +506,7 @@ def _sub_batch(sp: DenseSpace) -> int:
 
 def solve_tables(
     kernel: PackedKernel,
-    tables: Sequence[tuple],
+    stack: tuple,
     seeds: Sequence[int],
     prop: str,
     max_states: int = 2_000_000,
@@ -514,9 +515,9 @@ def solve_tables(
     """Solve a whole stack of tables under one chirality vector.
 
     ``kernel`` supplies the geometry (any member of the family works —
-    the dense space is table-independent); ``tables`` is a list of
-    ``(state_count, transitions, dir_bits)`` triples as produced by
-    :meth:`TableAlgorithm.packed_tables`. Returns per-table
+    the dense space is table-independent); ``stack`` is a decoded
+    ``(state_count, trans (B, S·8), dirs (S,))`` table stack as produced
+    by :func:`repro.verification.sweeps.family_stack`. Returns per-table
     ``(trapped, states_explored)`` lists matching the scalar
     :func:`~repro.verification.game.verify_exploration` tallies
     bit-for-bit. ``timings`` (optional dict) accumulates
@@ -525,13 +526,12 @@ def solve_tables(
     np = _np
     sp = dense_space(kernel)
     mark = time.perf_counter()
-    for state_count, _trans, _dirs in tables:
-        if state_count != sp.S:
-            raise VerificationError(
-                f"table state count {state_count} != family state count {sp.S}"
-            )
-    trans = np.array([t for _s, t, _d in tables], dtype=np.int64)
-    dirs = np.array([d for _s, _t, d in tables], dtype=np.int64)
+    state_count, trans, dirs = stack
+    if state_count != sp.S:
+        raise VerificationError(
+            f"table state count {state_count} != family state count {sp.S}"
+        )
+    dirs = dirs[None, :]
     seed_list = [int(s) for s in seeds]
     if timings is not None:
         timings["compile"] = timings.get("compile", 0.0) + (
@@ -540,9 +540,9 @@ def solve_tables(
     trapped: list[bool] = []
     explored: list[int] = []
     step = _sub_batch(sp)
-    for start in range(0, len(tables), step):
+    for start in range(0, trans.shape[0], step):
         mark = time.perf_counter()
-        succ = _expand(sp, trans[start : start + step], dirs[start : start + step])
+        succ = _expand(sp, trans[start : start + step], dirs)
         adj_full = _adjacency(sp, succ)
         visited, vis_mask = _reachable(sp, adj_full, seed_list)
         counts = visited.sum(axis=1)

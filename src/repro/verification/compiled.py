@@ -499,13 +499,13 @@ class CompiledTables:
         """ndarray views of the flat tables, for the vector backend.
 
         Returns ``(transitions, dir_bits, initial_index)`` with the two
-        tables as int64 ndarrays ready to be stacked into a batch —
-        consumed by both vector dispatch paths: the simulation runner
-        (:func:`repro.verification.batch.simulate_batch`) and the vector
-        game solver (:mod:`repro.verification.batch_solver`, which
-        gathers whole-chunk successor tensors straight from the stacked
-        tables, or one instance's next-slot tables for its sparse
-        path). Cached per instance like the scalar tables. Raises
+        tables as int64 ndarrays — consumed by the vector game solver's
+        single-instance path (:mod:`repro.verification.batch_solver`:
+        one instance's next-slot tables, or its dense successor tensor).
+        Whole chunks of table families skip per-table compilation: both
+        vector chunk runners decode their stacks straight from the bit
+        patterns (:func:`repro.verification.sweeps.family_stack`).
+        Cached per instance like the scalar tables. Raises
         :class:`~repro.errors.VerificationError` when NumPy — an
         optional dependency — is absent.
         """

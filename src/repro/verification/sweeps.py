@@ -30,6 +30,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+try:  # NumPy is optional — only the vector paths decode table stacks.
+    import numpy as _np
+except ImportError:  # pragma: no cover - exercised by the no-NumPy CI leg
+    _np = None
+
 from repro import telemetry
 from repro.errors import VerificationError
 from repro.graph.topology import RingTopology, arbitrary_placements
@@ -42,6 +47,7 @@ from repro.robots.algorithms.tables import (
 )
 from repro.types import Chirality, NodeId
 from repro.verification import batch_solver
+from repro.verification.batch import _require_numpy
 from repro.verification.backends import resolve_solver_backend
 from repro.verification.game import check_property, verify_exploration
 from repro.verification.kernel import PackedKernel
@@ -104,6 +110,19 @@ _FAMILIES: dict[str, tuple[int, object, tuple, int]] = {
     ),
 }
 
+#: Table family name → (state count S, bits per entry, bit offset of each
+#: of the S·8 flat-table entries): how a family's constructor lays a bit
+#: pattern out as its ``packed_tables`` transitions, so that a whole chunk
+#: decodes in NumPy (:func:`family_stack`) without building one
+#: :class:`~repro.robots.algorithms.tables.TableAlgorithm` per table.
+_LAYOUTS: dict[str, tuple[int, int, tuple[int, ...]]] = {
+    # Bit ``dir·4 + left·2 + right`` serves both multiplicity views.
+    "single": (2, 1, tuple(entry >> 1 for entry in range(16))),
+    "two": (2, 1, tuple(range(16))),
+    # Base-4 digits: two bits per entry.
+    "two-m2": (4, 2, tuple(2 * entry for entry in range(32))),
+}
+
 TABLE_FAMILIES = tuple(sorted(_FAMILIES))
 """Registered table-family names (the robot-class axis of a scenario)."""
 
@@ -138,6 +157,34 @@ def family_space(family: str) -> int:
     """Number of distinct tables in a family (its bit-pattern domain)."""
     _check_family(family)
     return _FAMILIES[family][3]
+
+
+def family_stack(family: str, bits_chunk: Sequence[int]) -> tuple:
+    """A chunk of bit patterns decoded straight into a table stack.
+
+    Returns ``(S, trans, dirs)``: the family's state count, the
+    ``(B, S·8)`` int64 successor tables (row ``b`` is the transitions of
+    ``family_maker(family)(bits_chunk[b]).packed_tables()``) and the
+    ``(S,)`` direction bits every table of a family shares (``s & 1``).
+    The initial state is index 0, as for every
+    :class:`~repro.robots.algorithms.tables.TableAlgorithm`. Both vector
+    paths consume this instead of per-table objects; memory-2 patterns
+    reach 2^64, so decoding runs on uint64. Requires NumPy.
+    """
+    _check_family(family)
+    _require_numpy()
+    state_count, width, offsets = _LAYOUTS[family]
+    if bits_chunk:
+        space = _FAMILIES[family][3]
+        for bits in (min(bits_chunk), max(bits_chunk)):
+            if not 0 <= bits < space:
+                family_maker(family)(bits)  # raises the family's own error
+    patterns = _np.array(bits_chunk, dtype=_np.uint64).reshape(-1, 1)
+    digits = (patterns >> _np.array(offsets, dtype=_np.uint64)) & _np.uint64(
+        (1 << width) - 1
+    )
+    dirs = _np.arange(state_count, dtype=_np.int64) & 1
+    return state_count, digits.astype(_np.int64), dirs
 
 
 def _check_family(family: str) -> None:
@@ -309,15 +356,16 @@ def _sweep_chunk_vector(
     k, maker, plan, _space = _FAMILIES[family]
     topology = RingTopology(n)
     mark = time.perf_counter()
-    algorithms = [maker(bits) for bits in bits_chunk]
-    probe = PackedKernel(
-        topology, algorithms[0], plan[0][0], scheduler=scheduler
-    )
-    if not batch_solver.dense_eligible(probe):
+    # One probe decides eligibility, and its algorithm stands in for the
+    # whole family afterwards: the dense geometry and the seed states are
+    # table-independent (every table starts in state 0).
+    probe = maker(bits_chunk[0])
+    kernel = PackedKernel(topology, probe, plan[0][0], scheduler=scheduler)
+    if not batch_solver.dense_eligible(kernel):
         return None
     traced = telemetry.armed()
     placements = start_placements(starts, topology, k)
-    tables = [algorithm.packed_tables() for algorithm in algorithms]
+    state_count, trans, dirs = family_stack(family, bits_chunk)
     timings: dict = {"compile": time.perf_counter() - mark}
     faults.fault_point("sweep-entry")
     midpoint = len(bits_chunk) // 2
@@ -329,13 +377,11 @@ def _sweep_chunk_vector(
         for vector in vectors:
             if not pending:
                 break
-            kernel = PackedKernel(
-                topology, algorithms[pending[0]], vector, scheduler=scheduler
-            )
+            kernel = PackedKernel(topology, probe, vector, scheduler=scheduler)
             seeds = kernel.initial_states(placements)
             hit, reached = batch_solver.solve_tables(
                 kernel,
-                [tables[i] for i in pending],
+                (state_count, trans[pending], dirs),
                 seeds,
                 prop,
                 timings=timings,
@@ -355,7 +401,9 @@ def _sweep_chunk_vector(
                 faults.fault_point("sweep-mid")
     total = len(bits_chunk)
     explorers = [
-        algorithms[i].name for i in range(total) if not trapped_flags[i]
+        maker(bits).name
+        for bits, hit in zip(bits_chunk, trapped_flags)
+        if not hit
     ]
     if traced:
         for name in ("compile", "frontier", "scc"):
@@ -473,6 +521,7 @@ __all__ = [
     "family_maker",
     "family_plan",
     "family_space",
+    "family_stack",
     "resolve_jobs",
     "run_table_sweep",
     "start_placements",

@@ -31,11 +31,12 @@ from hypothesis import strategies as st
 from scenario_testlib import make_tiny_dynamics_scenario as dyn_spec
 from repro import telemetry
 from repro.cli import build_parser
-from repro.errors import ScenarioError, VerificationError
+from repro.errors import AlgorithmError, ScenarioError, VerificationError
 from repro.graph.topology import RingTopology
 from repro.scenarios import (
     CampaignRunner,
     ResultStore,
+    RobotClassSpec,
     get_scenario,
     iter_scenarios,
 )
@@ -54,7 +55,7 @@ from repro.verification.backends import (
     vector_available,
 )
 from repro.verification.compiled import CompiledTables
-from repro.verification.sweeps import family_maker
+from repro.verification.sweeps import family_maker, family_space, family_stack
 
 HAVE_NUMPY = batch.have_numpy()
 requires_numpy = pytest.mark.skipif(
@@ -219,42 +220,83 @@ class TestVectorDifferential:
         assert tables.batch_tables() is tables.batch_tables()
 
     def test_mixed_state_counts_rejected(self) -> None:
+        # A stack whose width is not S·8 (here: memory-2 tables under a
+        # memoryless state count) is refused, not misread.
         topology = RingTopology(4)
         vectors = [(Chirality.AGREE, Chirality.AGREE)]
-        mixed = [
-            CompiledTables(topology, family_maker("two")(1), vectors[0]),
-            CompiledTables(topology, family_maker("two-m2")(1), vectors[0]),
-        ]
+        _s, trans, dirs = family_stack("two-m2", [1, 2])
         placements = simulation_placements("well", topology, 2)
         with pytest.raises(VerificationError, match="uniform state count"):
             batch.simulate_batch(
-                topology, mixed, vectors, placements, (7, 7), False, "perpetual"
+                topology,
+                (2, trans, dirs[:2]),
+                vectors,
+                placements,
+                (7, 7),
+                False,
+                "perpetual",
             )
 
     @given(
-        family=st.sampled_from(["bernoulli", "markov"]),
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-        bits=st.lists(
-            st.integers(min_value=0, max_value=2**16 - 1),
-            min_size=1,
-            max_size=4,
+        family=st.sampled_from(["two", "two-m2", "single"]),
+        dynamics=st.sampled_from(
+            ["bernoulli", "markov", "t-interval", "periodic",
+             "at-most-one-absent"]
         ),
+        n=st.sampled_from([4, 5, 6]),
+        starts=st.sampled_from(["well", "arbitrary"]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
         scheduler=st.sampled_from(["fsync", "ssync"]),
         prop=st.sampled_from(["perpetual", "live"]),
+        data=st.data(),
     )
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=60, deadline=None)
     def test_random_schedules_and_tables_agree(
-        self, family: str, seed: int, bits: list[int], scheduler: str, prop: str
+        self,
+        family: str,
+        dynamics: str,
+        n: int,
+        starts: str,
+        seed: int,
+        scheduler: str,
+        prop: str,
+        data,
     ) -> None:
-        params = (
-            {"p": 0.7}
-            if family == "bernoulli"
-            else {"p_off": 0.3, "p_on": 0.6}
+        bits = data.draw(
+            st.lists(
+                st.integers(min_value=0, max_value=family_space(family) - 1),
+                min_size=1,
+                max_size=4,
+            ),
+            label="bits",
         )
+        if dynamics == "periodic":
+            params = {
+                "patterns": data.draw(
+                    st.dictionaries(
+                        st.integers(min_value=0, max_value=n - 1),
+                        st.lists(st.booleans(), min_size=1, max_size=4),
+                        min_size=1,
+                        max_size=3,
+                    ),
+                    label="patterns",
+                )
+            }
+            seed = None
+        else:
+            params = {
+                "bernoulli": {"p": 0.7},
+                "markov": {"p_off": 0.3, "p_on": 0.6},
+                "t-interval": {"T": 3},
+                "at-most-one-absent": {"min_hold": 1, "max_hold": 4},
+            }[dynamics]
         spec = dyn_spec(
-            dynamics=family,
+            robots=RobotClassSpec(family=family, sample=4),
+            n=n,
+            dynamics=dynamics,
             dynamics_params=params,
             dynamics_seed=seed,
+            starts=starts,
             scheduler=scheduler,
             prop=prop,
             horizon=20,
@@ -262,6 +304,37 @@ class TestVectorDifferential:
         assert simulate_chunk(spec, bits, backend="vector") == simulate_chunk(
             spec, bits, backend="packed"
         )
+
+
+@requires_numpy
+class TestFamilyStack:
+    """The family decoder is exactly the per-table constructors'
+    ``packed_tables()``, stacked — without building the tables."""
+
+    @pytest.mark.parametrize(
+        "family, extra",
+        [
+            ("single", [1, 0x5A, 0x80]),
+            ("two", [7, 0xBEEF, 0x8000]),
+            ("two-m2", [3, 2**63, 2**63 + 12345, 2**64 - 2]),
+        ],
+    )
+    def test_matches_packed_tables(self, family: str, extra: list) -> None:
+        patterns = [0, family_space(family) - 1] + extra
+        state_count, trans, dirs = family_stack(family, patterns)
+        assert trans.shape == (len(patterns), state_count * 8)
+        maker = family_maker(family)
+        for row, bits in zip(trans, patterns):
+            decoded = (state_count, tuple(row.tolist()), tuple(dirs.tolist()))
+            assert decoded == maker(bits).packed_tables()
+
+    def test_empty_chunk(self) -> None:
+        state_count, trans, _dirs = family_stack("two-m2", [])
+        assert trans.shape == (0, state_count * 8)
+
+    def test_out_of_range_pattern_rejected_like_the_maker(self) -> None:
+        with pytest.raises(AlgorithmError, match="16 bits"):
+            family_stack("two", [3, 1 << 16])
 
 
 @requires_numpy
