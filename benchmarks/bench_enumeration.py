@@ -29,8 +29,6 @@ from __future__ import annotations
 
 import os
 
-import pytest
-
 from repro.graph.topology import RingTopology
 from repro.robots.algorithms import get_algorithm
 from repro.scenarios import (
@@ -177,10 +175,6 @@ def test_vector_vs_packed_solver(
     default (the full 65536 under ``REPRO_FULL_SWEEP=1``) keeps the
     scalar side of the comparison to seconds.
     """
-    from repro.verification.batch import have_numpy
-
-    if not have_numpy():
-        pytest.skip("numpy not installed (vector backend unavailable)")
     spec = get_scenario("thm41-two-n4")
     full = os.environ.get("REPRO_FULL_SWEEP") == "1"
     sample = None if full else 16384

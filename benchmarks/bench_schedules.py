@@ -18,19 +18,16 @@ tracks it the same way ``bench_enumeration.py`` tracks the solver:
   ≥10× vector speedup floor at n=4 (the n=6 T-interval pair is
   recorded alongside, unfloored);
 * ``test_simulation_path_throughput`` records tables/s per registered
-  family and per available backend — including the n=6 family the
-  packed backend unlocked — with a chunk-split determinism cross-check
-  riding along.
+  family on the packed and vector backends — including the n=6 family
+  the packed backend unlocked — with a chunk-split determinism
+  cross-check riding along.
 """
 
 from __future__ import annotations
 
 import os
 
-import pytest
-
 from repro.scenarios import get_scenario, simulate_chunk
-from repro.verification.batch import have_numpy
 
 
 def _merged(spec, patterns, size: int, backend: str = "packed"):
@@ -49,8 +46,8 @@ def _merged(spec, patterns, size: int, backend: str = "packed"):
 def test_simulation_path_throughput(
     timed_best_of, merge_bench_sweeps, save_artifact
 ) -> None:
-    """Tables/s per registered family, per available simulation backend."""
-    backends = ["packed"] + (["vector"] if have_numpy() else [])
+    """Tables/s per registered family, per fast simulation backend."""
+    backends = ["packed", "vector"]
     entries = []
     lines = []
     for name in ("periodic-two-n4", "bernoulli-two-n4", "periodic-two-n6"):
@@ -157,7 +154,6 @@ def test_packed_vs_object_simulation(
     save_artifact("dynamics_simulation_backends", "\n".join(lines))
 
 
-@pytest.mark.skipif(not have_numpy(), reason="vector backend needs numpy")
 def test_vector_vs_packed_simulation(
     timed_best_of, merge_bench_sweeps, save_artifact
 ) -> None:

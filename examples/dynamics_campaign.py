@@ -19,7 +19,7 @@ that is a pure cache hit. It then races the simulation backends
 (``--backend`` here and on the CLI): the object one drives the
 ``repro.sim`` engines; the packed one runs each table on the compiled
 tables the game solver's kernel shares, against a precompiled
-edge-bitmask schedule; and the vector one (when NumPy is installed)
+edge-bitmask schedule; and the vector one (the default ``auto``)
 stacks the whole chunk's tables into ndarrays and advances every run in
 lockstep — same tallies every time, each tier an order of magnitude
 apart. It closes with the live-vs-perpetual contrast on the bursty
@@ -39,7 +39,7 @@ import time
 
 from repro import telemetry
 from repro.scenarios import CampaignRunner, ResultStore, get_scenario, simulate_chunk
-from repro.verification.backends import AUTO_BACKEND, BACKEND_CHOICES, vector_available
+from repro.verification.backends import AUTO_BACKEND, BACKEND_CHOICES
 
 
 def main() -> None:
@@ -47,7 +47,7 @@ def main() -> None:
     parser.add_argument(
         "--backend", choices=list(BACKEND_CHOICES), default=AUTO_BACKEND,
         help="execution substrate for the campaign walk-through "
-        "(the backend race below always times every available backend)",
+        "(the backend race below always times all three backends)",
     )
     parser.add_argument(
         "--trace-dir", default=None, metavar="DIR",
@@ -87,12 +87,10 @@ def main() -> None:
 
     print("\n=== One semantics, three speeds: the backend race ===\n")
     patterns = spec.expand_patterns()
-    racers = ["object", "packed"] + (["vector"] if vector_available() else [])
-    if "vector" in racers:
-        simulate_chunk(spec, patterns, "vector")  # warm NumPy + caches
+    simulate_chunk(spec, patterns, "vector")  # warm NumPy + caches
     tallies = {}
     seconds = {}
-    for backend in racers:
+    for backend in ("object", "packed", "vector"):
         start = time.perf_counter()
         tallies[backend] = simulate_chunk(spec, patterns, backend)
         seconds[backend] = time.perf_counter() - start
@@ -106,13 +104,9 @@ def main() -> None:
     )
     print(
         f"\n  identical tallies, object→packed "
-        f"{seconds['object'] / seconds['packed']:.1f}x apart"
-        + (
-            f", packed→vector {seconds['packed'] / seconds['vector']:.1f}x "
-            "on top" if "vector" in seconds else
-            " (install numpy to race the vector backend too)"
-        )
-        + " —\n  each tier stays the differential oracle of the one above"
+        f"{seconds['object'] / seconds['packed']:.1f}x apart, packed→vector "
+        f"{seconds['packed'] / seconds['vector']:.1f}x on top"
+        " —\n  each tier stays the differential oracle of the one above"
         " (and n=6 families\n  like periodic-two-n6 are practical on"
         " either fast tier)."
     )

@@ -3,8 +3,8 @@
 Randomized schedules (Bernoulli, Markov, whack-a-mole) make single-run
 gap numbers noisy; robustness claims need distributions. This module
 aggregates per-seed exploration reports into summary statistics with
-normal-approximation confidence intervals (numpy/scipy when available,
-with a pure-Python fallback so the core library stays dependency-free).
+normal-approximation confidence intervals, computed with NumPy (a
+required dependency).
 """
 
 from __future__ import annotations
@@ -13,10 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-try:  # pragma: no cover - exercised implicitly by environment
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -46,19 +43,10 @@ def summarize(values: Sequence[float]) -> SummaryStatistics:
     if not values:
         raise ValueError("cannot summarize an empty sample")
     n = len(values)
-    if _np is not None:
-        arr = _np.asarray(values, dtype=float)
-        mean = float(arr.mean())
-        std = float(arr.std(ddof=1)) if n > 1 else 0.0
-        low, high = float(arr.min()), float(arr.max())
-    else:  # pragma: no cover - fallback path
-        mean = sum(values) / n
-        std = (
-            math.sqrt(sum((v - mean) ** 2 for v in values) / (n - 1))
-            if n > 1
-            else 0.0
-        )
-        low, high = min(values), max(values)
+    arr = np.asarray(values, dtype=float)
+    mean = float(arr.mean())
+    std = float(arr.std(ddof=1)) if n > 1 else 0.0
+    low, high = float(arr.min()), float(arr.max())
     half_width = 1.96 * std / math.sqrt(n) if n > 1 else 0.0
     return SummaryStatistics(
         count=n,

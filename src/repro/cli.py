@@ -13,9 +13,8 @@ Subcommands:
 * ``sweep --robots 1|2 --n N [--sample S | --full] [--memory 1|2]
   [--rng-seed S] [--backend B] [--scheduler S] [--jobs J]`` —
   exhaustive/sampled algorithm-class sweep on the NumPy vector solver,
-  the packed kernel or the object oracle (``auto``, the default,
-  resolves vector → packed by NumPy availability), optionally sharded
-  across a process pool; ``--memory
+  the packed kernel or the object oracle (``auto``, the default, is
+  ``vector``), optionally sharded across a process pool; ``--memory
   2`` samples the ``2**64`` memory-2 two-robot class deterministically;
   ``--scheduler ssync`` plays every game against the semi-synchronous
   activation adversary; ``--json FILE`` dumps the machine-readable
@@ -32,7 +31,7 @@ Subcommands:
   auto|vector|packed|object`` picks the execution substrate on either
   path (packed kernel vs object product for the solver; NumPy vector
   lockstep vs compiled tables vs object engines for the simulation
-  runner); ``auto`` (default) resolves to the fastest available, and
+  runner); ``auto`` (default) is ``vector`` — NumPy is required — and
   the choice list is derived from one registry
   (``repro.verification.backends``) shared with ``simulate_chunk`` and
   the sweep path. Backends tally byte-identically,
@@ -49,7 +48,8 @@ Subcommands:
   ``docs/observability.md``). ``status --json`` / ``report --json``
   emit the machine-readable forms.
   Exit codes: 0 OK, 1 incomplete (or analyze regression), 2 usage,
-  3 corrupt store, 4 degraded, 130 interrupted;
+  3 corrupt store, 4 degraded, 130 interrupted; any subcommand exits 2
+  (with the message on stderr) on a library error such as ``--jobs 0``;
 * ``trap --kind fig2|fig3 --algo NAME --n N`` — run an impossibility
   construction and print its audit;
 * ``algos`` — list registered algorithms.
@@ -69,11 +69,11 @@ from repro.analysis.towers import tower_report
 from repro.graph.topology import RingTopology
 from repro.robots.algorithms.base import get_algorithm, registry
 from repro.sim.engine import run_fsync
+from repro.errors import CertificateError, ReproError, exit_code_for
 from repro.verification.backends import (
     AUTO_BACKEND,
     BACKEND_CHOICES,
-    SOLVER_BACKEND_CHOICES,
-    resolve_solver_backend,
+    resolve_backend,
 )
 from repro.verification.game import verify_exploration
 from repro.viz.ascii_art import render_space_time
@@ -120,30 +120,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_backend_or_usage(choice: str) -> Optional[str]:
-    """Resolve a solver ``--backend`` choice, printing a usage error.
-
-    Returns the concrete backend, or ``None`` (exit 2) when the choice
-    cannot be honoured on this host — an explicit ``vector`` without
-    NumPy installed.
-    """
-    from repro.errors import VerificationError
-
-    try:
-        return resolve_solver_backend(choice)
-    except VerificationError as exc:
-        print(exc, file=sys.stderr)
-        return None
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     topology = RingTopology(args.n)
     algorithm = get_algorithm(args.algo)
-    backend = _resolve_backend_or_usage(args.backend)
-    if backend is None:
-        return 2
     verdict = verify_exploration(
-        algorithm, topology, k=args.k, backend=backend,
+        algorithm, topology, k=args.k, backend=args.backend,
         scheduler=args.scheduler,
     )
     print(verdict.summary())
@@ -177,9 +158,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         sweep_two_robot_memoryless,
     )
 
-    backend = _resolve_backend_or_usage(args.backend)
-    if backend is None:
-        return 2
+    backend = resolve_backend(args.backend)
     seed = args.rng_seed if args.rng_seed is not None else args.seed
     if args.memory == 2:
         if args.robots != 2:
@@ -453,10 +432,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the trap certificate (if any) as JSON",
     )
     p_verify.add_argument(
-        "--backend", choices=list(SOLVER_BACKEND_CHOICES), default=AUTO_BACKEND,
+        "--backend", choices=list(BACKEND_CHOICES), default=AUTO_BACKEND,
         help="verification substrate: NumPy vector lockstep, packed int "
         "kernel or the object-path semantics oracle; 'auto' (default) "
-        "resolves vector → packed by NumPy availability",
+        "is vector",
     )
     p_verify.add_argument(
         "--scheduler", choices=["fsync", "ssync"], default="fsync",
@@ -490,9 +469,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="deterministic sampling seed (defaults to --seed)",
     )
     p_sweep.add_argument(
-        "--backend", choices=list(SOLVER_BACKEND_CHOICES), default=AUTO_BACKEND,
-        help="solver substrate; 'auto' (default) resolves vector → "
-        "packed by NumPy availability",
+        "--backend", choices=list(BACKEND_CHOICES), default=AUTO_BACKEND,
+        help="solver substrate; 'auto' (default) is vector",
     )
     p_sweep.add_argument(
         "--scheduler", choices=["fsync", "ssync"], default="fsync",
@@ -539,10 +517,9 @@ def build_parser() -> argparse.ArgumentParser:
         c_action.add_argument(
             "--backend", choices=list(BACKEND_CHOICES), default=AUTO_BACKEND,
             help="execution substrate for either dispatch path; 'auto' "
-            "(default) resolves to the fastest available per path "
-            "(vector needs NumPy and exists on both the solver and the "
-            "simulation path); tallies, reports and resume points are "
-            "identical across backends",
+            "(default) is vector on both the solver and the simulation "
+            "path; tallies, reports and resume points are identical "
+            "across backends",
         )
         c_action.add_argument(
             "--jobs", type=int, default=None, metavar="J",
@@ -630,10 +607,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    A library error (bad ``--jobs``, ``--sample``, ``--k``, …) is a usage
+    error: its message goes to stderr and the exit code follows
+    :func:`~repro.errors.exit_code_for`. A :class:`CertificateError` is a
+    solver bug and still escapes as a traceback.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except CertificateError:
+        raise
+    except ReproError as exc:
+        print(exc, file=sys.stderr)
+        return exit_code_for(exc)
 
 
 if __name__ == "__main__":  # pragma: no cover

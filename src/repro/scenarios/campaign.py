@@ -9,8 +9,8 @@ schedule-family scenarios run on the simulation chunk runner
 schedule parameterization. Both paths produce the same record schema and
 both offer the same backend family with byte-identical tallies — a NumPy
 ``vector`` lockstep kernel, a packed int kernel and an object oracle on
-either path (``auto``, the default choice, resolves vector → packed by
-NumPy availability) — so the store, resume, dedup and reporting
+either path (``auto``, the default choice, is ``vector``: NumPy is a
+required dependency) — so the store, resume, dedup and reporting
 machinery below is shared — and backend-agnostic. The
 contract:
 
@@ -65,7 +65,6 @@ from repro.errors import (
     ChunkTimeoutError,
     ScenarioError,
     StoreCorruptionError,
-    VerificationError,
     WorkerCrashError,
 )
 from repro import telemetry
@@ -80,11 +79,7 @@ from repro.scenarios.store import (
     chunk_digest,
     is_failure_record,
 )
-from repro.verification.backends import (
-    check_backend_choice,
-    resolve_simulation_backend,
-    resolve_solver_backend,
-)
+from repro.verification.backends import resolve_backend
 from repro.verification.sweeps import resolve_jobs, sweep_chunk
 
 CAMPAIGN_REPORT_VERSION = 1
@@ -101,11 +96,11 @@ The spec rides along as its :meth:`ScenarioSpec.to_dict` form — plainly
 picklable, and the worker re-validates it on decode, so a chunk can never
 execute against a spec its own construction-time gate would refuse.
 ``backend`` selects the execution substrate on *both* dispatch paths
-(packed kernel vs object oracle for the exact solver; vector lockstep
-vs compiled tables vs object engines for the simulation runner), always
-as a *concrete* name — ``auto`` is resolved by the parent before
-dispatch. It is hash-neutral — never part of the spec payload, the
-chunk records or the report bytes.
+(vector lockstep vs packed kernel vs object oracle for the exact
+solver; vector lockstep vs compiled tables vs object engines for the
+simulation runner), always as a *concrete* name — ``auto`` is resolved
+when the runner is constructed. It is hash-neutral — never part of the
+spec payload, the chunk records or the report bytes.
 """
 
 
@@ -397,10 +392,10 @@ class CampaignRunner:
     ``backend`` picks the execution substrate of *both* dispatch paths:
     the exact solver's dense NumPy lockstep vs packed kernel vs object
     product, and the simulation runner's NumPy lockstep kernel vs
-    compiled tables vs object engines. ``"auto"`` (the default) resolves
-    per scenario to the fastest backend available on this host —
-    ``vector`` → ``packed`` by NumPy availability on either path (the
-    one registry: :mod:`repro.verification.backends`).
+    compiled tables vs object engines. ``"auto"`` (the default) is
+    ``vector`` on either path, since NumPy is a required dependency (the
+    one registry: :mod:`repro.verification.backends`); an unknown name
+    raises :class:`~repro.errors.VerificationError` at construction.
     The backend is an execution detail, not workload identity — all
     backends tally every chunk byte-identically, so scenario hashes,
     chunk records and report bytes never depend on it, and a campaign
@@ -435,7 +430,7 @@ class CampaignRunner:
         telemetry: Optional[str | Path | TelemetryConfig] = None,
     ) -> None:
         self.store = store
-        self.backend = check_backend_choice(backend)
+        self.backend = resolve_backend(backend)
         self.jobs = resolve_jobs(jobs)
         self.validate = validate
         self.policy = policy if policy is not None else RetryPolicy()
@@ -443,26 +438,7 @@ class CampaignRunner:
         self.telemetry = telemetry
         self._signal: Optional[int] = None
 
-    def _resolve_backend(self, spec: ScenarioSpec) -> str:
-        """The concrete backend this spec's chunks will execute on.
-
-        Resolved once in the parent before any chunk is dispatched
-        (workers receive the concrete name): ``auto`` picks the fastest
-        substrate available for the spec's dispatch path. Asking the
-        exact solver for ``vector``, or for ``vector`` without NumPy,
-        fails loudly here as a usage error rather than poisoning chunks
-        retry by retry.
-        """
-        try:
-            if spec.dynamics == "highly-dynamic":
-                return resolve_solver_backend(self.backend)
-            return resolve_simulation_backend(self.backend)
-        except VerificationError as exc:
-            raise ScenarioError(str(exc)) from exc
-
-    def _telemetry_config(
-        self, spec: ScenarioSpec, backend: str
-    ) -> Optional[TelemetryConfig]:
+    def _telemetry_config(self, spec: ScenarioSpec) -> Optional[TelemetryConfig]:
         """Resolve this run's trace config: explicit arg beats environment."""
         configured = self.telemetry
         if configured is None:
@@ -474,7 +450,7 @@ class CampaignRunner:
         context = {
             "scenario": spec.name,
             "scenario_id": spec.scenario_id,
-            "backend": backend,
+            "backend": self.backend,
             "jobs": self.jobs,
         }
         if isinstance(configured, TelemetryConfig):
@@ -600,15 +576,14 @@ class CampaignRunner:
         the run's clock time); the previous process-local telemetry state
         is restored on exit, mirroring the fault-plan save/restore.
         """
-        backend = self._resolve_backend(spec)
-        config = self._telemetry_config(spec, backend)
+        config = self._telemetry_config(spec)
         if config is None:
-            return self._run(spec, max_chunks, include_failed, backend)
+            return self._run(spec, max_chunks, include_failed)
         previous = telemetry.active()
         telemetry.install(config)
         try:
             with telemetry.span("campaign") as span_attrs:
-                outcome = self._run(spec, max_chunks, include_failed, backend)
+                outcome = self._run(spec, max_chunks, include_failed)
                 span_attrs["chunks_run"] = outcome.chunks_run
                 span_attrs["settled"] = outcome.status.settled
             return outcome
@@ -620,7 +595,6 @@ class CampaignRunner:
         spec: ScenarioSpec,
         max_chunks: Optional[int],
         include_failed: bool,
-        backend: str,
     ) -> CampaignRunOutcome:
         self.store.prepare(spec)
         chunks = spec.chunks()
@@ -638,7 +612,7 @@ class CampaignRunner:
             pending = pending[:max_chunks]
         spec_data = spec.to_dict()
         payloads: list[_Payload] = [
-            (index, spec_data, chunk, backend, self.validate)
+            (index, spec_data, chunk, self.backend, self.validate)
             for index, chunk in pending
         ]
         if telemetry.armed():

@@ -28,7 +28,7 @@ resume, dedup and report machinery apply unchanged:
 **Backends.** Like the exact path, the simulation path has multiple
 execution substrates with one semantics:
 
-* ``backend="vector"`` (the fastest; requires NumPy, an *optional*
+* ``backend="vector"`` (the fastest, on NumPy — a required
   dependency) decodes the chunk's bit patterns straight into one table
   stack, folds each distinct schedule mask into a slot-transition table
   and steps all (table, chirality-vector, placement) runs of a chunk in
@@ -52,10 +52,9 @@ All backends produce byte-identical tallies (differentially tested in
 is an execution detail, never part of a scenario's identity: scenario
 hashes, chunk records and campaign report bytes are backend-independent,
 and a campaign checkpointed under one backend resumes cleanly under any
-other. ``backend="auto"`` (the default) resolves vector → packed by
-NumPy availability; the backend registry
-(:mod:`repro.verification.backends`) is the single source of the choice
-set shared with the CLI and the campaign runner.
+other. ``backend="auto"`` (the default) is ``vector``; the backend
+registry (:mod:`repro.verification.backends`) is the single source of
+the choice set shared with the CLI and the campaign runner.
 
 Start placements are **not** rotation-reduced here: a concrete schedule
 names absolute edges at absolute times, so ring rotations are *not*
@@ -92,7 +91,7 @@ from repro.scenarios.spec import ScenarioSpec
 from repro.sim.engine import make_initial_configuration, step_fsync
 from repro.sim.semi_sync import step_ssync
 from repro.types import Chirality, EdgeId, NodeId, RobotId
-from repro.verification.backends import resolve_simulation_backend
+from repro.verification.backends import resolve_backend
 from repro.verification.compiled import CompiledTables
 from repro.verification.sweeps import family_maker, family_plan, family_stack
 
@@ -264,10 +263,10 @@ def simulate_chunk(
     ``(spec, bits_chunk)`` pair — re-runnable on any backend, worker,
     process or host with an identical tally. ``backend`` picks the
     execution substrate (``"vector"``/``"packed"``/``"object"``; see the
-    module docstring); ``"auto"`` resolves to the fastest available one
-    (:func:`repro.verification.backends.resolve_simulation_backend`).
+    module docstring); ``"auto"`` is ``"vector"``
+    (:func:`repro.verification.backends.resolve_backend`).
     """
-    backend = resolve_simulation_backend(backend)
+    backend = resolve_backend(backend)
     topology = RingTopology(spec.n)
     schedule = build_schedule(
         spec.dynamics, spec.dynamics_params, spec.dynamics_seed, topology

@@ -16,22 +16,22 @@ This subpackage decides it, through three mutually-checking layers:
   simulation chunk runner (:mod:`repro.scenarios.simulate`);
 * :mod:`repro.verification.batch` — the simulation vector backend:
   whole chunks of simulated tables stepped in NumPy lockstep
-  (structure-of-arrays rows, one gather per robot per round); NumPy is
-  optional, so this backend degrades to unavailable rather than making
-  it a hard dependency;
+  (structure-of-arrays rows, one gather per robot per round);
 * :mod:`repro.verification.batch_solver` — the solver vector backend:
   whole chunks of tables *game-solved* in NumPy lockstep (dense product
   spaces, bit-parallel reachability and winning-SCC detection), and
   single instances of any size solved sparsely (int64-frontier BFS, a
-  vectorized winning-SCC screen), with the same optional-NumPy contract
-  and bit-identical verdicts;
+  vectorized winning-SCC screen), with bit-identical verdicts;
 * :mod:`repro.verification.backends` — the one registry of backend
-  names (solver vs simulation families, ``auto`` resolution) that the
-  CLI, the chunk runners and the campaign runner all derive from;
+  names that the CLI, the chunk runners and the campaign runner all
+  derive from; NumPy is a required dependency, so ``auto`` is
+  ``vector`` on both dispatch paths;
 * :mod:`repro.verification.kernel` — the packed-state kernel: the game
   solver's consumer of the compiled tables, adding adversarial move
-  enumeration and labeled reachability. The default, fast substrate;
-  differentially tested against the other two layers;
+  enumeration and labeled reachability. The ``packed`` backend — the
+  differential reference, and the ``vector`` solver's fallback for
+  packed states beyond int64; differentially tested against the other
+  two layers;
 * :mod:`repro.verification.game` — the solver: the adversary wins iff,
   from some well-initiated configuration, some reachable SCC of the
   target-node-avoiding subgraph leaves at most one ring edge never
@@ -50,13 +50,9 @@ This subpackage decides it, through three mutually-checking layers:
 
 from repro.verification.backends import (
     AUTO_BACKEND,
+    BACKENDS,
     BACKEND_CHOICES,
-    SIMULATION_BACKENDS,
-    SOLVER_BACKENDS,
-    SOLVER_BACKEND_CHOICES,
-    resolve_simulation_backend,
-    resolve_solver_backend,
-    vector_available,
+    resolve_backend,
 )
 from repro.verification.certificates import (
     TrapCertificate,
@@ -72,7 +68,7 @@ from repro.verification.game import (
 )
 from repro.verification.compiled import CompiledTables
 from repro.verification.kernel import PackedKernel, check_scheduler
-from repro.verification.product import BACKENDS, ProductSystem, SysState
+from repro.verification.product import ProductSystem, SysState
 from repro.verification.enumeration import (
     SweepResult,
     sample_table_patterns,
@@ -92,13 +88,8 @@ __all__ = [
     "AUTO_BACKEND",
     "BACKENDS",
     "BACKEND_CHOICES",
-    "SIMULATION_BACKENDS",
-    "SOLVER_BACKENDS",
-    "SOLVER_BACKEND_CHOICES",
     "PROPERTIES",
-    "resolve_simulation_backend",
-    "resolve_solver_backend",
-    "vector_available",
+    "resolve_backend",
     "START_POLICIES",
     "TABLE_FAMILIES",
     "CompiledTables",

@@ -2,112 +2,52 @@
 
 Every layer that lets a caller pick an execution substrate — the CLI
 (``campaign run --backend``, ``verify --backend``, ``sweep --backend``),
+:func:`repro.verification.game.verify_exploration`,
+:class:`repro.verification.product.ProductSystem`,
 :func:`repro.scenarios.simulate.simulate_chunk`,
 :func:`repro.verification.sweeps.sweep_chunk` and
 :class:`repro.scenarios.campaign.CampaignRunner` — derives its choices
 from this module, so a new backend cannot drift out of a help text or an
 error message.
 
-Two backend families exist because the two dispatch paths have different
-capabilities:
+Both dispatch paths — the exact game solver over the highly-dynamic
+adversary and the bounded-horizon schedule-dynamics runner — offer the
+same three backends, fastest first:
 
-* **Solver backends** (:data:`SOLVER_BACKENDS`) drive the exact game
-  solver over the highly-dynamic adversary: ``vector`` (dense NumPy
-  lockstep over a whole chunk of tables,
-  :mod:`repro.verification.batch_solver`), ``packed`` (flat int
-  tables) and ``object`` (the differential oracle).
-* **Simulation backends** (:data:`SIMULATION_BACKENDS`) drive the
-  bounded-horizon schedule-dynamics runner: ``vector`` (NumPy
-  structure-of-arrays lockstep over a whole chunk,
-  :mod:`repro.verification.batch`), ``packed`` and ``object``.
+* ``vector`` — NumPy lockstep over a whole chunk of tables
+  (:mod:`repro.verification.batch_solver` for the solver,
+  :mod:`repro.verification.batch` for simulation);
+* ``packed`` — flat int tables, one table at a time (the differential
+  reference, and the solver's fallback for packed states beyond int64);
+* ``object`` — the engine-driven semantics oracle.
 
-``auto`` (:data:`AUTO_BACKEND`) is the CLI-facing default: it resolves
-to the fastest backend *available on this host* for the dispatch path at
-hand — vector → packed → object on either path (NumPy is an optional
-dependency). Backend choice is an execution detail, never workload
-identity: all backends tally byte-identically and scenario hashes,
-chunk records and report bytes never record which one ran.
+NumPy is a required dependency, so ``auto`` (:data:`AUTO_BACKEND`, the
+CLI-facing default) is ``vector`` on both paths. Backend choice is an
+execution detail, never workload identity: all backends tally
+byte-identically and scenario hashes, chunk records and report bytes
+never record which one ran.
 """
 
 from __future__ import annotations
 
 from repro.errors import VerificationError
 
-SOLVER_BACKENDS = ("vector", "packed", "object")
-"""Backends of the exact game solver path, fastest first."""
-
-SIMULATION_BACKENDS = ("vector", "packed", "object")
-"""Backends of the schedule-simulation path, fastest first."""
+BACKENDS = ("vector", "packed", "object")
+"""Concrete backends of both dispatch paths, fastest first."""
 
 AUTO_BACKEND = "auto"
-"""Sentinel choice: resolve to the fastest available backend."""
+"""Sentinel choice: resolves to ``vector``."""
 
-BACKEND_CHOICES = (AUTO_BACKEND,) + SIMULATION_BACKENDS
+BACKEND_CHOICES = (AUTO_BACKEND,) + BACKENDS
 """Every name a caller may pass (CLI ``--backend`` choices)."""
 
-SOLVER_BACKEND_CHOICES = (AUTO_BACKEND,) + SOLVER_BACKENDS
-"""Solver-path ``--backend`` choices (``verify``/``sweep`` CLI)."""
 
-
-def vector_available() -> bool:
-    """True when the ``vector`` backend's NumPy dependency is importable."""
-    from repro.verification import batch
-
-    return batch.have_numpy()
-
-
-def check_backend_choice(backend: str) -> str:
-    """Validate a backend *choice* (``auto`` allowed, not yet resolved)."""
-    if backend not in BACKEND_CHOICES:
+def resolve_backend(choice: str) -> str:
+    """The concrete backend for a choice: ``auto`` is ``vector``."""
+    if choice == AUTO_BACKEND:
+        return "vector"
+    if choice not in BACKENDS:
         raise VerificationError(
-            f"unknown backend {backend!r}; choose from {BACKEND_CHOICES}"
+            f"unknown backend {choice!r}; choose from {BACKEND_CHOICES}"
         )
-    return backend
-
-
-def check_solver_backend(backend: str) -> str:
-    """Validate a concrete solver backend (shared by product, game, sweeps)."""
-    if backend not in SOLVER_BACKENDS:
-        raise VerificationError(
-            f"unknown backend {backend!r}; choose from {SOLVER_BACKENDS}"
-        )
-    return backend
-
-
-def resolve_solver_backend(backend: str) -> str:
-    """Resolve a backend choice for the exact solver path.
-
-    ``auto`` picks ``vector`` when NumPy is importable and ``packed``
-    otherwise — the same availability contract as the simulation path;
-    asking for ``vector`` explicitly without NumPy is an error (the
-    caller wanted that substrate, not a silent fallback).
-    """
-    if backend == AUTO_BACKEND:
-        return "vector" if vector_available() else "packed"
-    if backend == "vector" and not vector_available():
-        raise VerificationError(
-            "backend 'vector' requires numpy, which is not installed; "
-            "pass backend='auto' to fall back to 'packed' automatically"
-        )
-    return check_solver_backend(backend)
-
-
-def resolve_simulation_backend(backend: str) -> str:
-    """Resolve a backend choice for the simulation path.
-
-    ``auto`` picks ``vector`` when NumPy is importable and ``packed``
-    otherwise; asking for ``vector`` explicitly without NumPy is an
-    error (the caller wanted that substrate, not a silent fallback).
-    """
-    if backend == AUTO_BACKEND:
-        return "vector" if vector_available() else "packed"
-    if backend == "vector" and not vector_available():
-        raise VerificationError(
-            "backend 'vector' requires numpy, which is not installed; "
-            "pass backend='auto' to fall back to 'packed' automatically"
-        )
-    if backend not in SIMULATION_BACKENDS:
-        raise VerificationError(
-            f"unknown backend {backend!r}; choose from {BACKEND_CHOICES}"
-        )
-    return backend
+    return choice

@@ -46,10 +46,8 @@ failed run is located, and only the executed-round counts up to and
 including it are summed. Trapped flags and round totals match the
 scalar path exactly — differentially tested in ``tests/test_batch.py``.
 
-NumPy is an **optional** dependency (same guarded-import pattern as
-:mod:`repro.analysis.stats`): without it this module imports fine,
-:func:`have_numpy` returns False, and the ``vector`` backend is simply
-unavailable (``backend="auto"`` falls back to ``packed``).
+NumPy is a required dependency, and ``backend="auto"`` resolves to this
+backend (:mod:`repro.verification.backends`).
 """
 
 from __future__ import annotations
@@ -57,10 +55,7 @@ from __future__ import annotations
 import time
 from typing import Sequence
 
-try:  # NumPy is optional — the vector backend degrades to unavailable.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-NumPy CI leg
-    _np = None
+import numpy as np
 
 from repro.errors import VerificationError
 from repro.graph.topology import Topology
@@ -78,19 +73,6 @@ BatchTables = tuple
 _np_node_cache: dict = {}
 
 
-def have_numpy() -> bool:
-    """True when the optional NumPy dependency imported."""
-    return _np is not None
-
-
-def _require_numpy() -> None:
-    if _np is None:
-        raise VerificationError(
-            "backend 'vector' requires numpy, which is not installed; "
-            "pass backend='auto' to fall back to 'packed' automatically"
-        )
-
-
 def as_batch_arrays(
     transitions: Sequence[int], dir_bits: Sequence[int], initial_index: int
 ) -> BatchTables:
@@ -100,10 +82,9 @@ def as_batch_arrays(
     :meth:`~repro.verification.compiled.CompiledTables.batch_tables`
     (which caches the result per instance, like the scalar tables).
     """
-    _require_numpy()
     return (
-        _np.array(transitions, dtype=_np.int64),
-        _np.array(dir_bits, dtype=_np.int64),
+        np.array(transitions, dtype=np.int64),
+        np.array(dir_bits, dtype=np.int64),
         initial_index,
     )
 
@@ -118,7 +99,7 @@ def _np_node_tables(topology: Topology, chirality: Chirality) -> tuple:
     cached = _np_node_cache.get(key)
     if cached is None:
         cached = tuple(
-            _np.array(part, dtype=_np.int64)
+            np.array(part, dtype=np.int64)
             for part in _node_tables(topology, chirality)
         )
         _np_node_cache[key] = cached
@@ -149,7 +130,6 @@ def _slot_tables(
     the folded stack at each entry's view index, then a gather of a
     small per-``(mask, block, slot, folded value)`` landing table.
     """
-    np = _np
     n = topology.n
     slots = n * state_count
     out = 2 * state_count
@@ -209,8 +189,6 @@ def simulate_batch(
     and wall-clock seconds per kernel phase (``compile``/``gather``/
     ``compact`` — the caller decides whether to emit them as telemetry).
     """
-    _require_numpy()
-    np = _np
     timings = {"compile": 0.0, "gather": 0.0, "compact": 0.0}
     state_count, trans, dirs = stack
     if trans.shape[1] != state_count * 8:
@@ -409,7 +387,6 @@ def simulate_batch(
 
 __all__ = [
     "as_batch_arrays",
-    "have_numpy",
     "simulate_batch",
     "COMPACT_THRESHOLD",
 ]

@@ -48,9 +48,10 @@ than the ``(n·S)^k`` space:
   as one ``np.bitwise_or.at``), so the list-based search and the
   certificate run only for the target it flags.
 
-NumPy stays optional: callers resolve the ``vector`` backend only when
-it imports, and chunks that are not :func:`dense_eligible` go per table
-through the sparse path (identical tallies either way).
+NumPy is a required dependency and ``backend="auto"`` resolves to this
+backend. Chunks that are not :func:`dense_eligible` go per table through
+the sparse path (identical tallies either way); only packed states
+beyond int64 (:func:`fits_int64`) leave NumPy for the scalar kernel.
 """
 
 from __future__ import annotations
@@ -58,13 +59,9 @@ from __future__ import annotations
 import time
 from typing import Iterable, Iterator, Optional, Sequence
 
-try:  # NumPy is optional — the vector backend degrades to unavailable.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-NumPy CI leg
-    _np = None
+import numpy as np
 
 from repro.errors import VerificationError
-from repro.verification.batch import _require_numpy, have_numpy
 from repro.verification.kernel import PackedKernel
 
 #: Hard cap on a dense space's state count (beyond it, fall back to the
@@ -101,12 +98,10 @@ def _branch_bound(kernel: PackedKernel) -> int:
 def dense_eligible(kernel: PackedKernel) -> bool:
     """Whether this instance's product space fits the dense solver.
 
-    False — NumPy absent, too many dense states, or too large a
-    successor tensor — means the caller should run the scalar packed
-    path instead; the verdicts are identical either way.
+    False — too many dense states, or too large a successor tensor —
+    means the caller should run the sparse per-instance path instead;
+    the verdicts are identical either way.
     """
-    if not have_numpy():
-        return False
     space = kernel._base ** kernel.k
     if space > MAX_DENSE_STATES:
         return False
@@ -119,7 +114,6 @@ def _decode(states: "object", base: int, S: int, k: int) -> tuple:
     ``slots``/``positions`` are per-robot int64 arrays; ``occupied`` and
     ``towers`` the occupied-node and multiplicity bitmasks per state.
     """
-    np = _np
     slots = [(states // base**i) % base for i in range(k)]
     pos = [slot // S for slot in slots]
     occ = np.zeros(states.shape, dtype=np.int64)
@@ -142,7 +136,6 @@ class DenseSpace:
     """
 
     def __init__(self, kernel: PackedKernel) -> None:
-        np = _np
         self.topology = kernel.topology
         self.scheduler = kernel.scheduler
         self.k = kernel.k
@@ -239,7 +232,6 @@ class DenseSpace:
         """
         cached = self._target_cache.get(target)
         if cached is None:
-            np = _np
             avoid = ((self.occ >> target) & 1) == 0
             sel = np.nonzero(avoid)[0]
             avoid_mask = np.zeros(self.words, dtype=np.uint64)
@@ -253,7 +245,6 @@ class DenseSpace:
 
 def dense_space(kernel: PackedKernel) -> DenseSpace:
     """The (process-cached) dense geometry for a kernel's instance."""
-    _require_numpy()
     key = (
         kernel.topology,
         kernel.chiralities,
@@ -276,7 +267,6 @@ def _expand(sp: DenseSpace, trans: "object", dirs: "object") -> "object":
     ``new_state·2 + dir_bit``; the landing slot is then a select between
     the two precompiled per-direction slot tables plus the new state.
     """
-    np = _np
     td = (trans * 2 + np.take_along_axis(dirs, trans, axis=1)).astype(np.int16)
     slots = []
     for view, slot0, slot1, _idle in sp.robots:
@@ -309,7 +299,6 @@ def _unpack(rows: "object", count: int, as_bool: bool = True) -> "object":
     ``as_bool=False`` returns the raw 0/1 uint8 plane (one copy fewer)
     for consumers that only mask or reduce it.
     """
-    np = _np
     if np.little_endian:
         flat = np.unpackbits(
             np.ascontiguousarray(rows).view(np.uint8),
@@ -325,7 +314,6 @@ def _unpack(rows: "object", count: int, as_bool: bool = True) -> "object":
 
 def _adjacency(sp: DenseSpace, succ: "object") -> "object":
     """Per-state successor bitmasks ``(B, P, words)`` of a batch."""
-    np = _np
     tbits = sp.bitval[succ]
     if sp.words == 1:
         return np.bitwise_or.reduce(tbits, axis=2)[:, :, None]
@@ -347,7 +335,6 @@ def _reachable(
     batch — no per-state scatter. Returns ``(visited, vis_mask)``: the
     boolean ``(B, P)`` bitmap and its packed ``(B, words)`` form.
     """
-    np = _np
     batch = adj.shape[0]
     seed_mask = np.zeros(sp.words, dtype=np.uint64)
     for s in set(int(s) for s in seeds):
@@ -391,7 +378,6 @@ def _solve(
     bit-parallel Floyd–Warshall only iterates vias over avoiding states
     present in some table's arena.
     """
-    np = _np
     batch = succ.shape[0]
     budget = 1 if sp.topology.is_ring else 0
     ssync = sp.scheduler == "ssync"
@@ -523,7 +509,6 @@ def solve_tables(
     bit-for-bit. ``timings`` (optional dict) accumulates
     ``compile`` / ``frontier`` / ``scc`` phase seconds.
     """
-    np = _np
     sp = dense_space(kernel)
     mark = time.perf_counter()
     state_count, trans, dirs = stack
@@ -587,7 +572,6 @@ def _unique(values: "object") -> "object":
     Sort plus neighbour compare: several times faster on large int64
     arrays than ``np.unique``, which hashes.
     """
-    np = _np
     values = np.sort(values)
     keep = np.empty(values.size, dtype=bool)
     keep[:1] = True
@@ -597,7 +581,6 @@ def _unique(values: "object") -> "object":
 
 def _ranges(indptr: "object", rows: "object") -> "object":
     """Flat positions of the CSR blocks of ``rows``, in ``rows`` order."""
-    np = _np
     start = indptr[rows]
     count = indptr[rows + 1] - start
     offset = np.cumsum(count) - count
@@ -626,7 +609,6 @@ def _sparse_geometry(kernel: PackedKernel) -> list:
         key = (kernel.topology, chirality, kernel.state_count)
         cached = _geometry_cache.get(key)
         if cached is None:
-            np = _np
             S = kernel.state_count
             slot = np.arange(kernel._base, dtype=np.int64)[:, None]
             pos, state = slot // S, slot % S
@@ -654,7 +636,6 @@ def _landing_tables(kernel: PackedKernel) -> list:
     instance's Look–Compute table, direction bits and the move into one
     gather per robot and transition.
     """
-    np = _np
     trans, dirs, _initial = kernel.batch_tables()
     S = kernel.state_count
     geometries = _sparse_geometry(kernel)
@@ -681,7 +662,6 @@ def _grid(kernel: PackedKernel, states: "object") -> tuple:
     ``(state, move)`` grid's valid-prefix mask, each robot's
     next-slot-table index per grid cell and each robot's current slot.
     """
-    np = _np
     k, base, S = kernel.k, kernel._base, kernel.state_count
     slots, pos, occ, tow = _decode(states, base, S, k)
     uocc, inv = np.unique(occ, return_inverse=True)
@@ -714,7 +694,6 @@ def _successors(kernel: PackedKernel, grid: tuple, tables: list) -> "object":
     it with the grid's labels. Padding cells repeat move 0, a real
     transition, so the padded form is safe for reachability as is.
     """
-    np = _np
     _occ, _deg, _labels, _valid, rows, slots = grid
     k, base = kernel.k, kernel._base
     landed = [table[row] for table, row in zip(tables, rows)]
@@ -749,7 +728,6 @@ def _reach_dense(kernel: PackedKernel, seeds: "object") -> tuple:
     into a boolean mask. Returns ``(visited, occ, deg, labels, succ)``,
     rows in ``visited`` order.
     """
-    np = _np
     sp = dense_space(kernel)
     trans, dirs, _initial = kernel.batch_tables()
     succ = _expand(sp, trans[None, :], dirs[None, :])[0]
@@ -783,7 +761,6 @@ def _reach_levels(kernel: PackedKernel, seeds: "object") -> tuple:
     so no state is expanded twice. Returns ``(visited, occ, deg,
     labels, succ)``, rows in ``visited`` order.
     """
-    np = _np
     tables = _landing_tables(kernel)
     frontier = visited = _unique(seeds)
     levels = []
@@ -834,8 +811,6 @@ def reachable_csr(kernel: PackedKernel, seeds: Sequence[int]) -> tuple:
     verdicts and certificates. Raises :class:`VerificationError` on the
     same ``max_states`` overflow the scalar path reports.
     """
-    np = _np
-    _require_numpy()
     seed_arr = np.asarray(list(seeds), dtype=np.int64)
     reach = _reach_dense if dense_eligible(kernel) else _reach_levels
     visited, occ, deg, labels, succ = reach(kernel, seed_arr)
@@ -931,7 +906,6 @@ def _peel(alive: "object", rows: "object", ptr: "object", nbr: "object") -> None
     in-degree from alive nodes fell to zero and decrements their heads,
     so the whole peel touches every edge once.
     """
-    np = _np
     live = alive[rows] & alive[nbr]
     deg = np.bincount(nbr[live], minlength=alive.size)
     peel = np.flatnonzero(alive & (deg == 0))
@@ -945,7 +919,6 @@ def _peel(alive: "object", rows: "object", ptr: "object", nbr: "object") -> None
 
 def _rotation_closed(kernel: PackedKernel, states: "object") -> bool:
     """Whether rotating every robot one node on maps ``states`` into itself."""
-    np = _np
     k, base, S, n = kernel.k, kernel._base, kernel.state_count, kernel.n
     if not states.size:
         return True
@@ -988,7 +961,6 @@ class WinningScreen:
     """
 
     def __init__(self, kernel: PackedKernel, csr: tuple) -> None:
-        np = _np
         states, indptr, labels, succs, self.occ, self.seeds = csr
         count = self.occ.size
         self.symmetric = kernel.topology.is_ring and _rotation_closed(
@@ -1028,7 +1000,6 @@ class WinningScreen:
 
     def arena(self, target: int, prop: str) -> "object":
         """The boolean arena mask of ``target`` under ``prop``."""
-        np = _np
         avoid = (self.occ >> target & 1) == 0
         if prop != "live":
             return avoid
@@ -1050,7 +1021,6 @@ class WinningScreen:
         return self._verdicts[key]
 
     def _wins(self, target: int, prop: str) -> bool:
-        np = _np
         arena = self.arena(target, prop)
         core = arena.copy()
         _peel(core, *self.forward)
@@ -1096,7 +1066,6 @@ __all__ = [
     "dense_eligible",
     "dense_space",
     "fits_int64",
-    "have_numpy",
     "reachable_csr",
     "solve_tables",
 ]

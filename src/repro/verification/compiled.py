@@ -505,9 +505,7 @@ class CompiledTables:
         Whole chunks of table families skip per-table compilation: both
         vector chunk runners decode their stacks straight from the bit
         patterns (:func:`repro.verification.sweeps.family_stack`).
-        Cached per instance like the scalar tables. Raises
-        :class:`~repro.errors.VerificationError` when NumPy — an
-        optional dependency — is absent.
+        Cached per instance like the scalar tables.
         """
         if self._batch_tables is None:
             from repro.verification import batch

@@ -60,7 +60,7 @@ from repro.graph.topology import Topology
 from repro.robots.algorithms.base import Algorithm
 from repro.types import Chirality, EdgeId, NodeId, RobotId
 from repro.verification import batch_solver
-from repro.verification.backends import resolve_solver_backend
+from repro.verification.backends import resolve_backend
 from repro.verification.certificates import TrapCertificate, validate_certificate
 from repro.verification.kernel import (
     PackedKernel,
@@ -192,10 +192,9 @@ def verify_exploration(
     screens every target with a vectorized SCC pass
     (:mod:`repro.verification.batch_solver`), producing verdicts *and*
     certificates bit-identical to ``"packed"`` (both solve the same
-    canonical CSR graph); ``"auto"`` resolves to
-    ``"vector"`` when NumPy is importable and ``"packed"`` otherwise;
-    ``"object"`` is the original engine-driven path, kept as the
-    semantics oracle. Certificates from the object backend satisfy the
+    canonical CSR graph); ``"auto"`` is ``"vector"`` (NumPy is a
+    required dependency); ``"object"`` is the original engine-driven
+    path, kept as the semantics oracle. Certificates from the object backend satisfy the
     same replay validation, though the particular lasso exhibited may
     differ.
 
@@ -207,7 +206,7 @@ def verify_exploration(
     per-step activation sets and replay through
     :func:`repro.sim.semi_sync.run_ssync`.
     """
-    backend = resolve_solver_backend(backend)
+    backend = resolve_backend(backend)
     check_property(prop)
     check_scheduler(scheduler)
     if chirality_vectors is None:

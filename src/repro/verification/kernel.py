@@ -136,12 +136,8 @@ class PackedKernel(CompiledTables):
         transition and stays harmless for reachability and label unions.
         Returns ``(moves_pad, mcount)``: the int64 ``(len, width)`` table
         and each row's unpadded length (the valid prefix, for CSR
-        extraction). Raises :class:`~repro.errors.VerificationError`
-        when NumPy — an optional dependency — is absent.
+        extraction).
         """
-        from repro.verification.batch import _require_numpy
-
-        _require_numpy()
         import numpy as np
 
         rows = [self.moves_for_occupied(occ) for occ in occupied_values]

@@ -8,12 +8,13 @@ is computed by :func:`repro.sim.engine.step_fsync` (respectively
 :func:`repro.sim.semi_sync.step_ssync`), the same functions the
 simulators run, so solver and simulator can never disagree on semantics.
 
-Two interchangeable backends compute :meth:`ProductSystem.reachable`: the
-``object`` path steps ``step_fsync`` per transition (the semantics
-oracle), while the default ``packed`` path runs the allocation-free
-integer kernel of :mod:`repro.verification.kernel` and decodes its graph.
-Both yield the identical labeled transition graph; differential tests
-hold them together.
+Three interchangeable backends compute :meth:`ProductSystem.reachable`:
+the ``object`` path steps ``step_fsync`` per transition (the semantics
+oracle), the default ``packed`` path runs the allocation-free integer
+kernel of :mod:`repro.verification.kernel` and decodes its graph, and
+the ``vector`` path builds the same graph in NumPy. All yield the
+identical labeled transition graph; differential tests hold them
+together.
 
 Adversary-move reduction (soundness argument): only edges adjacent to an
 *occupied* node can influence any robot's view or movement. Presenting a
@@ -42,15 +43,8 @@ from repro.sim.config import Configuration
 from repro.sim.engine import step_fsync
 from repro.sim.semi_sync import step_ssync
 from repro.types import Chirality, EdgeId, NodeId, RobotId
+from repro.verification.backends import resolve_backend
 from repro.verification.kernel import PackedKernel, check_scheduler
-
-# Backend names live in the one registry shared with the CLI and the
-# simulation path; the solver aliases keep this module's historical API.
-from repro.verification.backends import (  # noqa: E402  (re-export)
-    SOLVER_BACKENDS as BACKENDS,
-    check_solver_backend as check_backend,
-    resolve_solver_backend,
-)
 
 SysState = tuple[tuple[NodeId, ...], tuple[Hashable, ...]]
 """A product state: (robot positions, robot algorithm states)."""
@@ -84,9 +78,9 @@ class ProductSystem:
         ``"packed"`` (default) explores reachability on the int-packed
         kernel (:mod:`repro.verification.kernel`) and decodes the result;
         ``"vector"`` builds the same graph breadth-first in NumPy
-        (:func:`repro.verification.batch_solver.reachable_csr`; requires
-        NumPy); ``"auto"`` resolves vector → packed by
-        NumPy availability; ``"object"`` steps
+        (:func:`repro.verification.batch_solver.reachable_csr`), on the
+        packed kernel only for states beyond int64; ``"auto"`` is
+        ``"vector"``; ``"object"`` steps
         :func:`repro.sim.engine.step_fsync` (or
         :func:`repro.sim.semi_sync.step_ssync`) per transition. All
         produce the *identical* graph — the object path is kept as the
@@ -120,9 +114,7 @@ class ProductSystem:
         if self.k < 1:
             raise VerificationError("need at least one robot")
         self.max_states = max_states
-        # Resolved eagerly so an explicit "vector" without NumPy fails
-        # loudly at construction, not deep inside reachability.
-        self.backend = resolve_solver_backend(backend)
+        self.backend = resolve_backend(backend)
         self.scheduler = check_scheduler(scheduler)
         self._kernel: Optional[PackedKernel] = None
         self._moves_cache: dict[frozenset[NodeId], tuple[frozenset[EdgeId], ...]] = {}
@@ -316,7 +308,5 @@ __all__ = [
     "SsyncMove",
     "Transition",
     "ProductSystem",
-    "BACKENDS",
-    "check_backend",
     "check_scheduler",
 ]

@@ -9,8 +9,7 @@ and merges the per-chunk tallies *in chunk order* — so the resulting
 :class:`SweepResult` (totals, explorer names and their order, state
 counts) is byte-identical for any worker count, and for every
 verification backend (``vector``, ``packed``, ``object`` — ``auto``
-resolves by NumPy availability). ``jobs=None`` uses every available
-core.
+is ``vector``). ``jobs=None`` uses every available core.
 
 Workers rebuild their :class:`~repro.robots.algorithms.tables
 .TableAlgorithm` from the bit pattern (a chunk pickles as a tuple of
@@ -30,10 +29,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-try:  # NumPy is optional — only the vector paths decode table stacks.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-NumPy CI leg
-    _np = None
+import numpy as np
 
 from repro import telemetry
 from repro.errors import VerificationError
@@ -47,8 +43,7 @@ from repro.robots.algorithms.tables import (
 )
 from repro.types import Chirality, NodeId
 from repro.verification import batch_solver
-from repro.verification.batch import _require_numpy
-from repro.verification.backends import resolve_solver_backend
+from repro.verification.backends import resolve_backend
 from repro.verification.game import check_property, verify_exploration
 from repro.verification.kernel import PackedKernel
 from repro.verification.product import check_scheduler
@@ -169,22 +164,21 @@ def family_stack(family: str, bits_chunk: Sequence[int]) -> tuple:
     The initial state is index 0, as for every
     :class:`~repro.robots.algorithms.tables.TableAlgorithm`. Both vector
     paths consume this instead of per-table objects; memory-2 patterns
-    reach 2^64, so decoding runs on uint64. Requires NumPy.
+    reach 2^64, so decoding runs on uint64.
     """
     _check_family(family)
-    _require_numpy()
     state_count, width, offsets = _LAYOUTS[family]
     if bits_chunk:
         space = _FAMILIES[family][3]
         for bits in (min(bits_chunk), max(bits_chunk)):
             if not 0 <= bits < space:
                 family_maker(family)(bits)  # raises the family's own error
-    patterns = _np.array(bits_chunk, dtype=_np.uint64).reshape(-1, 1)
-    digits = (patterns >> _np.array(offsets, dtype=_np.uint64)) & _np.uint64(
+    patterns = np.array(bits_chunk, dtype=np.uint64).reshape(-1, 1)
+    digits = (patterns >> np.array(offsets, dtype=np.uint64)) & np.uint64(
         (1 << width) - 1
     )
-    dirs = _np.arange(state_count, dtype=_np.int64) & 1
-    return state_count, digits.astype(_np.int64), dirs
+    dirs = np.arange(state_count, dtype=np.int64) & 1
+    return state_count, digits.astype(np.int64), dirs
 
 
 def _check_family(family: str) -> None:
@@ -281,7 +275,7 @@ def sweep_chunk(
     from repro.scenarios import faults
 
     _check_family(family)
-    backend = resolve_solver_backend(backend)
+    backend = resolve_backend(backend)
     if backend == "vector" and not validate:
         # Whole-chunk dense solve; None means the space is not dense-
         # eligible and the per-table loop below takes over (it still
@@ -488,7 +482,7 @@ def run_table_sweep(
     every member.
     """
     _check_family(family)
-    backend = resolve_solver_backend(backend)
+    backend = resolve_backend(backend)
     check_start_policy(starts)
     check_property(prop)
     check_scheduler(scheduler)

@@ -9,11 +9,8 @@ Three contracts:
   oracle (including the ``rounds`` work proxy, which the kernel
   reproduces via post-hoc first-failure accounting).
 * **Registry** — one source of backend names shared by the CLI, the
-  chunk runners and the campaign runner; on both the simulation and the
-  exact-solver path ``auto`` resolves vector → packed by NumPy
-  availability, and asking for ``vector`` without NumPy fails loudly.
-  The whole module must pass with NumPy absent — vector-only tests
-  skip.
+  chunk runners and the campaign runner; ``auto`` is ``vector`` on both
+  the simulation and the exact-solver path.
 * **Hash-neutrality** — a campaign checkpointed under ``packed``
   resumes under ``vector`` into a byte-identical report, and a traced
   vector run emits per-phase spans without changing a report byte.
@@ -31,7 +28,7 @@ from hypothesis import strategies as st
 from scenario_testlib import make_tiny_dynamics_scenario as dyn_spec
 from repro import telemetry
 from repro.cli import build_parser
-from repro.errors import AlgorithmError, ScenarioError, VerificationError
+from repro.errors import AlgorithmError, VerificationError
 from repro.graph.topology import RingTopology
 from repro.scenarios import (
     CampaignRunner,
@@ -42,26 +39,15 @@ from repro.scenarios import (
 )
 from repro.scenarios.simulate import simulate_chunk, simulation_placements
 from repro.types import Chirality
-from repro.verification import backends, batch, product
+from repro.verification import batch
 from repro.verification.backends import (
     AUTO_BACKEND,
     BACKEND_CHOICES,
-    SIMULATION_BACKENDS,
-    SOLVER_BACKENDS,
-    SOLVER_BACKEND_CHOICES,
-    check_backend_choice,
-    resolve_simulation_backend,
-    resolve_solver_backend,
-    vector_available,
+    BACKENDS,
+    resolve_backend,
 )
 from repro.verification.compiled import CompiledTables
 from repro.verification.sweeps import family_maker, family_space, family_stack
-
-HAVE_NUMPY = batch.have_numpy()
-requires_numpy = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="numpy not installed (vector backend unavailable)"
-)
-
 
 def _simulation_family_names() -> list[str]:
     return [
@@ -89,15 +75,8 @@ class TestRegistry:
     """One backend registry; nothing can drift out of the CLI help."""
 
     def test_choice_sets(self) -> None:
-        assert BACKEND_CHOICES == (AUTO_BACKEND,) + SIMULATION_BACKENDS
-        assert SOLVER_BACKEND_CHOICES == (AUTO_BACKEND,) + SOLVER_BACKENDS
-        assert "vector" in SIMULATION_BACKENDS
-        assert "vector" in SOLVER_BACKENDS
-
-    def test_product_aliases_are_the_registry(self) -> None:
-        # The historical solver API re-exports the registry, not a copy.
-        assert product.BACKENDS is SOLVER_BACKENDS
-        assert product.check_backend is backends.check_solver_backend
+        assert BACKEND_CHOICES == (AUTO_BACKEND,) + BACKENDS
+        assert BACKENDS == ("vector", "packed", "object")
 
     def test_campaign_cli_choices_derive_from_registry(self) -> None:
         parser = build_parser()
@@ -110,92 +89,27 @@ class TestRegistry:
     @pytest.mark.parametrize("command", ["verify", "sweep"])
     def test_solver_cli_choices_derive_from_registry(self, command: str) -> None:
         action = _find_backend_action(_subparser(build_parser(), command))
-        assert tuple(action.choices) == SOLVER_BACKEND_CHOICES
+        assert tuple(action.choices) == BACKEND_CHOICES
         assert action.default == AUTO_BACKEND
 
     def test_unknown_choice_message_lists_registry(self) -> None:
         with pytest.raises(VerificationError, match="auto"):
-            check_backend_choice("simd")
+            resolve_backend("simd")
         with pytest.raises(VerificationError, match="backend"):
-            resolve_simulation_backend("vectorized")
+            resolve_backend("vectorized")
 
-    def test_solver_resolution_tracks_numpy(self) -> None:
-        resolved = resolve_solver_backend("auto")
-        assert resolved == ("vector" if HAVE_NUMPY else "packed")
-        assert resolve_solver_backend("packed") == "packed"
-        assert resolve_solver_backend("object") == "object"
-
-    def test_simulation_resolution_tracks_numpy(self) -> None:
-        resolved = resolve_simulation_backend("auto")
-        assert resolved == ("vector" if HAVE_NUMPY else "packed")
-        assert resolve_simulation_backend("packed") == "packed"
-
-
-class TestNumpyAbsent:
-    """The suite's no-NumPy contract, forced via monkeypatch so it is
-    exercised even on hosts where NumPy is installed (the CI no-NumPy
-    leg exercises the real thing)."""
-
-    @pytest.fixture()
-    def no_numpy(self, monkeypatch):
-        monkeypatch.setattr(batch, "_np", None)
-
-    def test_auto_falls_back_to_packed(self, no_numpy) -> None:
-        assert not vector_available()
-        assert resolve_simulation_backend("auto") == "packed"
-
-    def test_explicit_vector_raises_clearly(self, no_numpy) -> None:
-        with pytest.raises(VerificationError, match="requires numpy"):
-            resolve_simulation_backend("vector")
-        spec = dyn_spec()
-        with pytest.raises(VerificationError, match="requires numpy"):
-            simulate_chunk(spec, spec.chunks()[0], backend="vector")
-
-    def test_auto_chunk_equals_packed_chunk(self, no_numpy) -> None:
-        spec = dyn_spec()
-        chunk = spec.chunks()[0]
-        assert simulate_chunk(spec, chunk, backend="auto") == simulate_chunk(
-            spec, chunk, backend="packed"
-        )
-
-    def test_campaign_vector_request_is_a_usage_error(
-        self, no_numpy, tmp_path: Path
-    ) -> None:
-        runner = CampaignRunner(
-            ResultStore(tmp_path / "s"), backend="vector", jobs=1
-        )
-        with pytest.raises(ScenarioError, match="requires numpy"):
-            runner.run(dyn_spec())
-
-    def test_batch_tables_raises_without_numpy(self, no_numpy) -> None:
-        tables = CompiledTables(
-            RingTopology(4),
-            family_maker("two")(7),
-            (Chirality.AGREE, Chirality.AGREE),
-        )
-        with pytest.raises(VerificationError, match="requires numpy"):
-            tables.batch_tables()
+    def test_auto_resolves_to_vector(self) -> None:
+        assert resolve_backend("auto") == "vector"
+        for name in BACKENDS:
+            assert resolve_backend(name) == name
 
 
 class TestCampaignSolverPath:
-    def test_vector_without_numpy_is_a_usage_error(
-        self, monkeypatch, tmp_path
-    ) -> None:
-        from scenario_testlib import make_tiny_scenario
-
-        monkeypatch.setattr(batch, "_np", None)
-        runner = CampaignRunner(
-            ResultStore(tmp_path / "s"), backend="vector", jobs=1
-        )
-        with pytest.raises(ScenarioError, match="requires numpy"):
-            runner.run(make_tiny_scenario())
-
     def test_unknown_backend_rejected_at_construction(self, tmp_path) -> None:
         with pytest.raises(VerificationError, match="backend"):
             CampaignRunner(ResultStore(tmp_path / "s"), backend="simd")
 
 
-@requires_numpy
 class TestVectorDifferential:
     """vector == packed == object on every tally, everywhere."""
 
@@ -306,7 +220,6 @@ class TestVectorDifferential:
         )
 
 
-@requires_numpy
 class TestFamilyStack:
     """The family decoder is exactly the per-table constructors'
     ``packed_tables()``, stacked — without building the tables."""
@@ -337,7 +250,6 @@ class TestFamilyStack:
             family_stack("two", [3, 1 << 16])
 
 
-@requires_numpy
 class TestCrossBackendResume:
     """The backend is not workload identity: a campaign checkpointed
     under ``packed`` resumes under ``vector`` — into the same store,
@@ -378,7 +290,6 @@ class TestCrossBackendResume:
         assert reports["packed"] == reports["vector"] == reports["auto"]
 
 
-@requires_numpy
 class TestVectorTelemetry:
     """The vector chunk runner tags its compile/gather/compact phases;
     arming telemetry never changes a report byte."""

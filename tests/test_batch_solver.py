@@ -9,12 +9,9 @@ Three contracts, mirroring ``test_batch.py``'s simulation-side suite:
   ``packed`` and ``object``; ``verify_exploration`` additionally emits
   bit-identical trap certificates under ``vector`` and ``packed`` (the
   shared canonical-CSR solve phase), all replay-validated.
-* **Registry** — ``auto`` resolves vector → packed by NumPy
-  availability on the solver path too, the CLI rejects an explicit
-  ``--backend vector`` without NumPy with a usage error (exit 2), and
-  the NumPy-absent fallback chunks are byte-identical to ``packed``.
-  The whole module must pass with NumPy absent — vector-only tests
-  skip.
+* **Int64 fallback** — an instance whose packed states do not fit
+  int64 takes the scalar kernel under ``vector`` too, with verdicts,
+  counts, certificates and graphs equal to ``packed``.
 * **Portability** — a solver campaign checkpointed under ``packed``
   resumes under ``vector`` into a byte-identical report.
 """
@@ -28,7 +25,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scenario_testlib import make_tiny_scenario
-from repro.cli import main as cli_main
 from repro.errors import VerificationError
 from repro.graph.topology import RingTopology
 from repro.scenarios import (
@@ -37,8 +33,7 @@ from repro.scenarios import (
     get_scenario,
     iter_scenarios,
 )
-from repro.verification import batch, batch_solver
-from repro.verification.backends import resolve_solver_backend
+from repro.verification import batch_solver
 from repro.verification.certificates import validate_certificate
 from repro.graph.topology import arbitrary_placements
 from repro.robots.algorithms import get_algorithm
@@ -51,13 +46,8 @@ from repro.verification.game import (
     verify_exploration,
 )
 from repro.verification.kernel import PackedKernel
+from repro.verification.product import ProductSystem
 from repro.verification.sweeps import family_maker, family_space, sweep_chunk
-
-HAVE_NUMPY = batch.have_numpy()
-requires_numpy = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="numpy not installed (vector backend unavailable)"
-)
-
 
 def _solver_scenario_names() -> list[str]:
     return [
@@ -71,7 +61,6 @@ def _chunk_kwargs(spec) -> dict:
     return dict(starts=spec.starts, prop=spec.prop, scheduler=spec.scheduler)
 
 
-@requires_numpy
 class TestSolverDifferential:
     """vector == packed == object on every solver tally, everywhere."""
 
@@ -133,7 +122,6 @@ class TestSolverDifferential:
         ) == sweep_chunk(family, n, chunk, backend="packed", **kwargs)
 
 
-@requires_numpy
 class TestCertificateEquality:
     """The shared CSR solve phase makes certificates bit-identical."""
 
@@ -179,7 +167,6 @@ def _packed_csr(kernel: PackedKernel, seeds: list) -> object:
 _CSR_FIELDS = ("states", "indptr", "labels", "succs", "occ", "seeds")
 
 
-@requires_numpy
 class TestSparseCsr:
     """The sparse CSR builder equals the scalar kernel's, field by field.
 
@@ -267,7 +254,6 @@ class TestSparseCsr:
         assert "exceeds 20 states" in messages[0]
 
 
-@requires_numpy
 class TestWinningScreen:
     """The vectorized screen answers exactly like the list-based search."""
 
@@ -321,7 +307,6 @@ class TestWinningScreen:
         assert texts[0] == texts[1]
 
 
-@requires_numpy
 class TestDenseEligibility:
     def test_registered_solver_scenarios_are_dense_eligible(self) -> None:
         # The speedup claim rests on the registered sweeps actually
@@ -350,7 +335,6 @@ class TestDenseEligibility:
         assert batch_solver.dense_space(a) is batch_solver.dense_space(b)
 
 
-@requires_numpy
 class TestCampaignPortability:
     def test_packed_checkpoint_vector_resume_byte_identical(
         self, tmp_path: Path
@@ -373,37 +357,61 @@ class TestCampaignPortability:
         assert store.report_path(spec).read_bytes() == reference_bytes
 
 
-class TestSolverNumpyAbsent:
-    """The solver path's no-NumPy contract, forced via monkeypatch (the
-    CI no-NumPy leg exercises the real thing)."""
+class TestInt64Fallback:
+    """Beyond int64 the vector backend runs the scalar kernel, and says
+    so only in its speed: verdicts, counts, certificate bytes and the
+    decoded graph all equal ``packed``.
+
+    ``_INT64_SPACE`` is lowered so small instances take the branch; the
+    sparse builder is replaced by a tripwire to prove they do.
+    """
 
     @pytest.fixture()
-    def no_numpy(self, monkeypatch):
-        monkeypatch.setattr(batch, "_np", None)
+    def beyond_int64(self, monkeypatch):
+        def tripwire(*_args, **_kwargs):
+            raise AssertionError("reachable_csr ran beyond int64")
 
-    def test_auto_resolves_to_packed(self, no_numpy) -> None:
-        assert resolve_solver_backend("auto") == "packed"
-
-    def test_auto_chunk_equals_packed_chunk(self, no_numpy) -> None:
-        chunk = tuple(range(8))
-        assert sweep_chunk("single", 3, chunk, backend="auto") == sweep_chunk(
-            "single", 3, chunk, backend="packed"
-        )
-
-    def test_explicit_vector_raises_clearly(self, no_numpy) -> None:
-        with pytest.raises(VerificationError, match="requires numpy"):
-            sweep_chunk("single", 3, (0,), backend="vector")
+        monkeypatch.setattr(batch_solver, "_INT64_SPACE", 1)
+        monkeypatch.setattr(batch_solver, "reachable_csr", tripwire)
 
     @pytest.mark.parametrize(
-        "argv",
+        "algo,n,k,scheduler,explorable",
         [
-            ["verify", "--algo", "pef1", "--n", "3", "--k", "1",
-             "--backend", "vector"],
-            ["sweep", "--robots", "1", "--n", "3", "--backend", "vector"],
+            ("pef3+-always-turn", 6, 3, "fsync", False),
+            ("pef3+", 5, 3, "fsync", True),
+            ("two:91", 4, 2, "ssync", False),
         ],
     )
-    def test_cli_explicit_vector_is_usage_error(
-        self, no_numpy, capsys, argv
+    def test_verify_matches_packed(
+        self, beyond_int64, algo, n, k, scheduler, explorable
     ) -> None:
-        assert cli_main(argv) == 2
-        assert "requires numpy" in capsys.readouterr().err
+        if algo.startswith("two:"):
+            algorithm = family_maker("two")(int(algo[4:]))
+        else:
+            algorithm = get_algorithm(algo)
+        vec, packed = (
+            verify_exploration(
+                algorithm, RingTopology(n), k=k, backend=backend,
+                scheduler=scheduler,
+            )
+            for backend in ("vector", "packed")
+        )
+        assert vec.explorable is packed.explorable is explorable
+        assert (vec.states_explored, vec.transitions_explored) == (
+            packed.states_explored, packed.transitions_explored
+        )
+        if explorable:
+            assert vec.certificate is packed.certificate is None
+        else:
+            assert dumps(vec.certificate) == dumps(packed.certificate)
+
+    def test_product_graph_matches_packed(self, beyond_int64) -> None:
+        algorithm = get_algorithm("pef3+")
+        vector = default_chirality_vectors(3)[1]
+        vec, packed = (
+            ProductSystem(
+                RingTopology(5), algorithm, vector, backend=backend
+            ).reachable()
+            for backend in ("vector", "packed")
+        )
+        assert vec == packed

@@ -153,9 +153,7 @@ class TestSweep:
         assert payload["all_trapped"] is True
         # --backend defaults to auto; the payload records the *resolved*
         # substrate so the JSON names what actually ran.
-        from repro.verification.backends import resolve_solver_backend
-
-        assert payload["backend"] == resolve_solver_backend("auto")
+        assert payload["backend"] == "vector"
 
     def test_ssync_sweep_smoke(self, capsys) -> None:
         code = main(
@@ -342,3 +340,42 @@ class TestParser:
     def test_requires_subcommand(self) -> None:
         with pytest.raises(SystemExit):
             main([])
+
+
+class TestLibraryErrors:
+    """A library error is a usage error (exit 2), never a traceback with
+    exit 1 — which scripts read as "campaign incomplete, keep running"."""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["campaign", "run", "thm51-single-n3", "--jobs", "0"],
+             "jobs must be >= 1"),
+            (["sweep", "--robots", "1", "--n", "3", "--jobs", "0"],
+             "jobs must be >= 1"),
+            (["sweep", "--robots", "2", "--n", "4", "--sample", "0"],
+             "sample must be in 1..65536"),
+            (["verify", "--algo", "pef1", "--n", "3", "--k", "0"],
+             "need at least one robot"),
+        ],
+    )
+    def test_exits_2_with_message(self, capsys, tmp_path, argv, message) -> None:
+        if argv[0] == "campaign":
+            argv = [*argv, "--store", str(tmp_path / "store")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+    def test_certificate_error_still_crashes(self, monkeypatch) -> None:
+        # A certificate that fails replay is a solver bug, not a usage
+        # error: it must stay loud.
+        from repro import cli
+        from repro.errors import CertificateError
+
+        def broken(*_args, **_kwargs):
+            raise CertificateError("lasso does not starve its target")
+
+        monkeypatch.setattr(cli, "verify_exploration", broken)
+        with pytest.raises(CertificateError):
+            main(["verify", "--algo", "pef1", "--n", "3", "--k", "1"])
