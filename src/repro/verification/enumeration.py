@@ -16,15 +16,17 @@ can discharge it by brute force:
   as a fallback. Theorem 4.1 predicts: all fail.
 
 Both sweeps run on the parallel engine of
-:mod:`repro.verification.sweeps`: pass ``backend`` to pick the packed
-kernel (default) or the object-path oracle, ``jobs`` to shard the
+:mod:`repro.verification.sweeps`: pass ``backend`` to pick the
+substrate (``auto``, the default, is the NumPy ``vector`` solver;
+``packed`` is the scalar kernel, ``object`` the semantics oracle),
+``jobs`` to shard the
 table class across a process pool (``None`` = all cores), and
 ``scheduler`` to play the game under FSYNC (default) or SSYNC (the
 semi-synchronous adversary of Di Luna et al., where an all-trapped sweep
 machine-checks their impossibility over the class). The result is
 identical — bit for bit, explorer order included — for every
 (backend, jobs) combination; the full 65,536-table Theorem 4.1 sweep is
-a routine operation on the packed backend.
+a routine operation on the vector and packed backends.
 
 A sweep's value is the *shape* of its result: ``trapped == total`` is an
 exhaustive finite-domain confirmation of the paper's universally
@@ -85,7 +87,7 @@ def _sweep_description(base: str, scheduler: str) -> str:
 def sweep_single_robot_memoryless(
     n: int,
     validate_certificates: bool = False,
-    backend: str = "packed",
+    backend: str = "auto",
     jobs: Optional[int] = 1,
     scheduler: str = "fsync",
 ) -> SweepResult:
@@ -127,14 +129,14 @@ def sweep_two_robot_memoryless(
     seed: int = 20170605,
     validate_certificates: bool = False,
     extra_tables: Iterable[TableAlgorithm] = (),
-    backend: str = "packed",
+    backend: str = "auto",
     jobs: Optional[int] = 1,
     scheduler: str = "fsync",
 ) -> SweepResult:
     """Check memoryless two-robot algorithms on the ``n``-ring.
 
-    ``sample=None`` sweeps all 65536 tables (seconds on the packed
-    backend, minutes on the object path); an integer draws that many
+    ``sample=None`` sweeps all 65536 tables (seconds on the vector and
+    packed backends, minutes on the object path); an integer draws that many
     distinct tables uniformly (plus any ``extra_tables``, e.g. the
     structured baselines). Theorem 4.1 says every member must be
     trappable for ``n >= 4``; under ``scheduler="ssync"`` the all-trapped
@@ -202,7 +204,7 @@ def sweep_two_robot_memory2(
     sample: int = 256,
     seed: int = 20170605,
     validate_certificates: bool = False,
-    backend: str = "packed",
+    backend: str = "auto",
     jobs: Optional[int] = 1,
     scheduler: str = "fsync",
 ) -> SweepResult:

@@ -53,7 +53,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from operator import itemgetter
+from typing import Callable, Optional, Sequence
 
 from repro.errors import VerificationError
 from repro.graph.topology import Topology
@@ -70,7 +71,6 @@ from repro.verification.kernel import (
 )
 from repro.verification.product import ProductSystem, SysState
 
-_InternalTransition = tuple[SysState, object, SysState]
 #: A CSR-internal transition: (state index, label, successor index).
 _CsrInternal = tuple[int, int, int]
 
@@ -160,7 +160,7 @@ def verify_exploration(
     max_states: int = 2_000_000,
     validate: bool = True,
     placements: Optional[Sequence[Sequence[NodeId]]] = None,
-    backend: str = "packed",
+    backend: str = "auto",
     certificates: bool = True,
     prop: str = "perpetual",
     scheduler: str = "fsync",
@@ -185,18 +185,21 @@ def verify_exploration(
     states, so the exhibited lasso never visits the starved node at all —
     its certificate passes the same replay validation.
 
-    ``backend`` picks the exploration substrate: ``"packed"`` (default)
-    runs entirely on the integer kernel — same verdict, same state and
-    transition counts, ~an order of magnitude faster; ``"vector"``
-    builds the reachable graph breadth-first in NumPy at any size and
-    screens every target with a vectorized SCC pass
-    (:mod:`repro.verification.batch_solver`), producing verdicts *and*
-    certificates bit-identical to ``"packed"`` (both solve the same
-    canonical CSR graph); ``"auto"`` is ``"vector"`` (NumPy is a
-    required dependency); ``"object"`` is the original engine-driven
-    path, kept as the semantics oracle. Certificates from the object backend satisfy the
-    same replay validation, though the particular lasso exhibited may
-    differ.
+    ``backend`` picks how the reachable graph is *built*; the solve phase
+    (attractor, iterative Tarjan, lasso extraction over one canonical
+    CSR graph) is shared by all of them. ``"auto"`` (default) is
+    ``"vector"``, which builds the graph breadth-first in NumPy at any
+    size and screens every target with a vectorized SCC pass
+    (:mod:`repro.verification.batch_solver`); ``"packed"`` builds it on
+    the scalar integer kernel — verdicts *and* certificates are
+    bit-identical to ``"vector"`` (same CSR, same state order);
+    ``"object"`` steps :func:`repro.sim.engine.step_fsync` /
+    :func:`repro.sim.semi_sync.step_ssync` per transition and constructs
+    no compiled tables — the semantics oracle. All three agree on
+    verdict, state count and transition count, and every certificate is
+    deterministic and passes the same replay validation. The object CSR
+    keeps the graph's discovery order rather than ascending packed
+    order, so its certificate need not be bit-identical to vector's.
 
     ``scheduler`` picks the execution model the game is played under:
     ``"fsync"`` (default, the paper's setting) or ``"ssync"``, where the
@@ -218,113 +221,41 @@ def verify_exploration(
                 raise VerificationError(
                     f"chirality vector {vector} has length {len(vector)}, want {k}"
                 )
-    if backend in ("packed", "vector"):
-        return _verify_csr(
-            algorithm, topology, k, vectors, max_states, validate, placements,
-            certificates, prop, scheduler, backend,
-        )
     total_states = 0
     total_transitions = 0
     for vector in vectors:
-        system = ProductSystem(
-            topology, algorithm, vector, max_states=max_states,
-            backend="object", scheduler=scheduler,
-        )
-        seeds = system.initial_states(placements)
-        graph = system.reachable(seeds)
-        total_states += len(graph)
-        total_transitions += sum(len(out) for out in graph.values())
-        for target in topology.nodes:
-            if prop == "live":
-                allowed = _avoid_reachable(graph, seeds, target)
-                if not allowed:
-                    continue
-            else:
-                allowed = None
-            win = _winning_scc(topology, graph, target, allowed, scheduler, k)
-            if win is None:
-                continue
-            scc_states, internal = win
-            if not certificates:
-                certificate = None
-            else:
-                certificate = _extract_certificate(
-                    topology, algorithm, vector, graph, seeds, target,
-                    scc_states, internal, allowed, scheduler,
-                )
-                if validate:
-                    validate_certificate(certificate, algorithm)
-            return ExplorationVerdict(
-                algorithm_name=algorithm.name,
-                topology=topology,
-                k=k,
-                explorable=False,
-                certificate=certificate,
-                states_explored=total_states,
-                transitions_explored=total_transitions,
-                chirality_vectors=vectors,
+        # Build phase: the only backend-specific step, seed decoding
+        # (``positions_of``) included.
+        screen = csr = None
+        if backend == "object":
+            system = ProductSystem(
+                topology, algorithm, vector, max_states=max_states,
+                backend="object", scheduler=scheduler,
+            )
+            csr = _csr_from_object(system, system.initial_states(placements))
+            positions_of = itemgetter(0)
+        else:
+            kernel = PackedKernel(
+                topology, algorithm, vector, max_states=max_states,
                 scheduler=scheduler,
             )
-    return ExplorationVerdict(
-        algorithm_name=algorithm.name,
-        topology=topology,
-        k=k,
-        explorable=True,
-        certificate=None,
-        states_explored=total_states,
-        transitions_explored=total_transitions,
-        chirality_vectors=vectors,
-        scheduler=scheduler,
-    )
-
-
-def _verify_csr(
-    algorithm: Algorithm,
-    topology: Topology,
-    k: int,
-    vectors: tuple[tuple[Chirality, ...], ...],
-    max_states: int,
-    validate: bool,
-    placements: Optional[Sequence[Sequence[NodeId]]],
-    certificates: bool,
-    prop: str,
-    scheduler: str,
-    backend: str,
-) -> ExplorationVerdict:
-    """The packed/vector body of :func:`verify_exploration`.
-
-    Both backends reduce the reachable graph to one *canonical CSR*
-    form — states ascending, per-state transitions in kernel move order
-    — and share the solve phase below (attractor, iterative Tarjan,
-    lasso extraction, all in pure Python over flat lists). The packed
-    path builds the CSR from ``PackedKernel.reachable``; the vector path
-    builds the identical arrays sparsely in NumPy
-    (:func:`repro.verification.batch_solver.reachable_csr`) and asks the
-    vectorized :class:`~repro.verification.batch_solver.WinningScreen`
-    first, so the list-based search runs only on a target it flags.
-    Verdicts, counts *and certificates* agree bit-for-bit across the two.
-    """
-    total_states = 0
-    total_transitions = 0
-    for vector in vectors:
-        kernel = PackedKernel(
-            topology, algorithm, vector, max_states=max_states,
-            scheduler=scheduler,
-        )
-        seeds = kernel.initial_states(placements)
-        screen = csr = None
-        if backend == "vector" and batch_solver.fits_int64(kernel):
-            arrays = batch_solver.reachable_csr(kernel, seeds)
-            states, transitions = arrays[0].size, arrays[2].size
-            if transitions > _SCREEN_MIN_TRANSITIONS:
-                screen = batch_solver.WinningScreen(kernel, arrays)
+            positions_of = kernel.positions_of
+            seeds = kernel.initial_states(placements)
+            if backend == "vector" and batch_solver.fits_int64(kernel):
+                arrays = batch_solver.reachable_csr(kernel, seeds)
+                if arrays[2].size > _SCREEN_MIN_TRANSITIONS:
+                    screen = batch_solver.WinningScreen(kernel, arrays)
+            else:
+                occupied: dict[PackedState, int] = {}
+                graph = kernel.reachable(seeds, occupied_out=occupied)
+                csr = _csr_from_packed(graph, occupied, seeds)
+        if csr is None:
+            total_states += arrays[0].size
+            total_transitions += arrays[2].size
         else:
-            occupied: dict[PackedState, int] = {}
-            graph = kernel.reachable(seeds, occupied_out=occupied)
-            csr = _csr_from_packed(graph, occupied, seeds)
-            states, transitions = len(csr.states), len(csr.labels)
-        total_states += states
-        total_transitions += transitions
+            total_states += len(csr.states)
+            total_transitions += len(csr.labels)
+        # Solve phase, shared by every backend.
         for target in topology.nodes:
             if screen is not None and not screen(target, prop):
                 continue
@@ -336,7 +267,7 @@ def _verify_csr(
                     continue
             else:
                 allowed = None
-            win = _winning_scc_csr(kernel, csr, target, allowed)
+            win = _winning_scc_csr(topology, k, scheduler, csr, target, allowed)
             if win is None:
                 continue
             scc_states, internal = win
@@ -344,8 +275,8 @@ def _verify_csr(
                 certificate = None
             else:
                 certificate = _extract_certificate_csr(
-                    kernel, vector, csr, target, scc_states, internal,
-                    allowed,
+                    algorithm, topology, scheduler, vector, csr, positions_of,
+                    target, scc_states, internal, allowed,
                 )
                 if validate:
                     validate_certificate(certificate, algorithm)
@@ -379,14 +310,15 @@ def synthesize_trap(
     k: int,
     chirality_vectors: Optional[Sequence[Sequence[Chirality]]] = None,
     max_states: int = 2_000_000,
-    backend: str = "packed",
+    backend: str = "auto",
     prop: str = "perpetual",
     scheduler: str = "fsync",
 ) -> TrapCertificate:
     """Produce a validated trap for an instance known to be non-explorable.
 
     Raises :class:`VerificationError` when the instance is in fact
-    explorable (no trap exists).
+    explorable (no trap exists). ``backend`` is as for
+    :func:`verify_exploration` (default ``auto``, i.e. ``vector``).
     """
     verdict = verify_exploration(
         algorithm, topology, k, chirality_vectors, max_states, validate=True,
@@ -402,41 +334,24 @@ def synthesize_trap(
 # ----------------------------------------------------------------------
 # Internals
 # ----------------------------------------------------------------------
-def _avoid_reachable(
-    graph: dict[SysState, list[tuple[frozenset[EdgeId], SysState]]],
-    seeds: Sequence[SysState],
-    target: NodeId,
-) -> set[SysState]:
-    """States reachable from target-avoiding seeds via target-avoiding states.
-
-    This is the live-exploration arena: any play confined to it keeps the
-    target unvisited from round 0 onwards.
-    """
-    allowed = {seed for seed in seeds if target not in seed[0]}
-    stack = list(allowed)
-    while stack:
-        state = stack.pop()
-        for _label, succ in graph[state]:
-            if succ not in allowed and target not in succ[0]:
-                allowed.add(succ)
-                stack.append(succ)
-    return allowed
-
-
 @dataclass
 class _CsrGraph:
-    """The canonical CSR form of a reachable packed graph.
+    """The CSR form of a reachable product graph, as the solve phase reads it.
 
-    ``states`` ascending packed states; transition ``t`` of state index
-    ``i`` lives at flat position ``indptr[i] <= t < indptr[i + 1]`` with
-    label ``labels[t]`` and successor *index* ``succs[t]``, in the
-    kernel's per-state move order. ``occ`` is the occupied-node bitmask
-    per state index and ``seeds`` the seed indices in first-occurrence
-    order. Both solver backends normalize to this exact shape, which is
-    what makes their certificates bit-identical.
+    Transition ``t`` of state index ``i`` lives at flat position
+    ``indptr[i] <= t < indptr[i + 1]`` with label ``labels[t]`` and
+    successor *index* ``succs[t]``, in per-state move order. A label is a
+    bitmask: edge ``e`` is bit ``e`` and, under SSYNC, activated robot
+    ``r`` is bit ``m + r`` (the :class:`~.compiled.CompiledTables`
+    convention). ``occ`` is the occupied-node bitmask per state index and
+    ``seeds`` the seed indices in first-occurrence order. ``states``
+    holds the backend's own states — ascending packed ints for packed
+    and vector (the canonical order that makes their certificates
+    bit-identical), object-level ``(positions, states)`` tuples in
+    discovery order for the object oracle.
     """
 
-    states: list[int]
+    states: list
     indptr: list[int]
     labels: list[int]
     succs: list[int]
@@ -449,7 +364,7 @@ def _csr_from_packed(
     occupied: dict[PackedState, int],
     seeds: Sequence[PackedState],
 ) -> _CsrGraph:
-    """Canonicalize a scalar-kernel graph dict into CSR arrays."""
+    """Canonicalize a scalar-kernel graph dict into CSR: states ascending."""
     states = sorted(graph)
     index = {state: i for i, state in enumerate(states)}
     indptr = [0]
@@ -460,25 +375,67 @@ def _csr_from_packed(
             labels.append(mask)
             succs.append(index[succ])
         indptr.append(len(labels))
-    seed_idx: list[int] = []
-    seen: set[int] = set()
-    for seed in seeds:
-        i = index[seed]
-        if i not in seen:
-            seen.add(i)
-            seed_idx.append(i)
     return _CsrGraph(
         states=states,
         indptr=indptr,
         labels=labels,
         succs=succs,
         occ=[occupied[state] for state in states],
-        seeds=seed_idx,
+        seeds=list(dict.fromkeys(index[seed] for seed in seeds)),
+    )
+
+
+def _csr_from_object(system: ProductSystem, seeds: Sequence[SysState]) -> _CsrGraph:
+    """The object oracle's reachable graph as CSR, states in discovery order.
+
+    Successors come only from :meth:`ProductSystem.reachable` (i.e. from
+    ``step_fsync``/``step_ssync``); this merely encodes the edge sets
+    (and SSYNC activation sets) of its labels as bitmasks.
+    """
+    graph = system.reachable(seeds)
+    act_shift = system.topology.edge_count
+    ssync = system.scheduler == "ssync"
+    masks: dict = {}
+    index = {state: i for i, state in enumerate(graph)}
+    indptr = [0]
+    labels: list[int] = []
+    succs: list[int] = []
+    occ: list[int] = []
+    for state, out in graph.items():
+        for label, succ in out:
+            mask = masks.get(label)
+            if mask is None:
+                edges, active = label if ssync else (label, ())
+                mask = 0
+                for edge in edges:
+                    mask |= 1 << edge
+                for robot in active:
+                    mask |= 1 << (act_shift + robot)
+                masks[label] = mask
+            labels.append(mask)
+            succs.append(index[succ])
+        indptr.append(len(labels))
+        bits = 0
+        for position in state[0]:
+            bits |= 1 << position
+        occ.append(bits)
+    return _CsrGraph(
+        states=list(graph),
+        indptr=indptr,
+        labels=labels,
+        succs=succs,
+        occ=occ,
+        seeds=list(dict.fromkeys(index[seed] for seed in seeds)),
     )
 
 
 def _avoid_reachable_csr(csr: _CsrGraph, target_bit: int) -> list[bool]:
-    """CSR twin of :func:`_avoid_reachable`: membership flags per index."""
+    """States reachable from target-avoiding seeds via target-avoiding states.
+
+    This is the live-exploration arena: any play confined to it keeps the
+    target unvisited from round 0 onwards. Returns membership flags per
+    state index.
+    """
     occ = csr.occ
     indptr = csr.indptr
     succs = csr.succs
@@ -498,144 +455,34 @@ def _avoid_reachable_csr(csr: _CsrGraph, target_bit: int) -> list[bool]:
     return allowed
 
 
-def _winning_scc(
-    topology: Topology,
-    graph: dict[SysState, list[tuple]],
-    target: NodeId,
-    allowed: Optional[set[SysState]],
-    scheduler: str,
-    k: int,
-) -> Optional[tuple[set[SysState], list[_InternalTransition]]]:
-    """Find an SCC of the target-avoiding subgraph within recurrence budget.
-
-    ``allowed`` (live property) further restricts the arena to the states
-    reachable while avoiding the target from round 0. Under SSYNC a
-    winning SCC must also activate every robot across its internal
-    transitions — otherwise no fair play can stay inside it forever.
-    ``scheduler`` and ``k`` are deliberately required: defaulting either
-    would let a caller disarm the fairness check silently (an empty
-    ``all_robots`` rejects every SCC — a false EXPLORES).
-    """
-    budget = 1 if topology.is_ring else 0
-    ssync = scheduler == "ssync"
-    all_robots: frozenset[RobotId] = frozenset(range(k))
-    if allowed is not None:
-        avoiding = allowed
-    else:
-        avoiding = {state for state in graph if target not in state[0]}
-    if not avoiding:
-        return None
-
-    successor_cache: dict[SysState, tuple[SysState, ...]] = {}
-
-    def successors(state: SysState) -> tuple[SysState, ...]:
-        cached = successor_cache.get(state)
-        if cached is None:
-            cached = tuple(
-                {succ for _label, succ in graph[state] if succ in avoiding}
-            )
-            successor_cache[state] = cached
-        return cached
-
-    for component in _tarjan_sccs(avoiding, successors):
-        component_set = set(component)
-        internal: list[_InternalTransition] = []
-        union: set[EdgeId] = set()
-        act_union: set[RobotId] = set()
-        for state in component:
-            for label, succ in graph[state]:
-                if succ in component_set:
-                    internal.append((state, label, succ))
-                    if ssync:
-                        union.update(label[0])
-                        act_union.update(label[1])
-                    else:
-                        union.update(label)
-        if not internal:
-            continue
-        missing = topology.all_edges - union
-        if len(missing) > budget:
-            continue
-        if ssync and act_union != all_robots:
-            continue
-        return component_set, internal
-    return None
-
-
-def _tarjan_sccs(
-    nodes: Iterable[SysState],
-    successors,
-) -> Iterable[list[SysState]]:
-    """Iterative Tarjan strongly-connected components."""
-    index: dict[SysState, int] = {}
-    low: dict[SysState, int] = {}
-    on_stack: set[SysState] = set()
-    stack: list[SysState] = []
-    counter = 0
-
-    for root in nodes:
-        if root in index:
-            continue
-        work: list[tuple[SysState, Iterable]] = [(root, iter(successors(root)))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, child_iter = work[-1]
-            advanced = False
-            for child in child_iter:
-                if child not in index:
-                    index[child] = low[child] = counter
-                    counter += 1
-                    stack.append(child)
-                    on_stack.add(child)
-                    work.append((child, iter(successors(child))))
-                    advanced = True
-                    break
-                if child in on_stack:
-                    if index[child] < low[node]:
-                        low[node] = index[child]
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                if low[node] < low[parent]:
-                    low[parent] = low[node]
-            if low[node] == index[node]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                yield component
-
-
 def _winning_scc_csr(
-    kernel: PackedKernel,
+    topology: Topology,
+    k: int,
+    scheduler: str,
     csr: _CsrGraph,
     target: NodeId,
     allowed: Optional[list[bool]] = None,
 ) -> Optional[tuple[set[int], list[_CsrInternal]]]:
-    """CSR twin of :func:`_winning_scc`, shared by packed and vector.
+    """Find an SCC of the target-avoiding subgraph within recurrence budget.
 
-    Labels are bitmasks, so the recurrent-edge union is a running OR and
-    the budget check a popcount; under SSYNC the same running OR
-    accumulates the activation bits, making the fairness check one shift
-    and compare. Tarjan (:func:`~repro.verification.batch_solver.csr_sccs`)
-    runs iteratively over the CSR arrays with roots in ascending state
-    order and per-state transitions in kernel move order — fully
-    deterministic, so both backends emit the same SCC first and extract
-    the same certificate.
+    ``allowed`` (live property) further restricts the arena to the states
+    reachable while avoiding the target from round 0. Labels are
+    bitmasks, so the recurrent-edge union is a running OR and the budget
+    check a popcount; under SSYNC the same running OR accumulates the
+    activation bits, and a winning SCC must activate every robot —
+    otherwise no fair play can stay inside it forever. ``k`` and
+    ``scheduler`` are deliberately required: defaulting either would let
+    a caller disarm the fairness check silently. Tarjan
+    (:func:`~repro.verification.batch_solver.csr_sccs`) runs iteratively
+    with roots in state-index order and per-state transitions in move
+    order — fully deterministic, so the same CSR always yields the same
+    SCC first and the same certificate.
     """
-    budget = 1 if kernel.topology.is_ring else 0
-    full_mask = kernel.full_mask
-    ssync = kernel.scheduler == "ssync"
-    act_shift = kernel.act_shift
-    full_act = kernel.full_act
+    budget = 1 if topology.is_ring else 0
+    act_shift = topology.edge_count
+    full_mask = (1 << act_shift) - 1
+    ssync = scheduler == "ssync"
+    full_act = (1 << k) - 1
     target_bit = 1 << target
     count = len(csr.states)
     indptr = csr.indptr
@@ -672,20 +519,24 @@ def _winning_scc_csr(
 
 
 def _extract_certificate_csr(
-    kernel: PackedKernel,
+    algorithm: Algorithm,
+    topology: Topology,
+    scheduler: str,
     chiralities: tuple[Chirality, ...],
     csr: _CsrGraph,
+    positions_of: Callable[[object], tuple[NodeId, ...]],
     target: NodeId,
     scc_states: set[int],
     internal: list[_CsrInternal],
     restrict: Optional[list[bool]] = None,
 ) -> TrapCertificate:
-    """CSR twin of :func:`_extract_certificate`, shared by packed/vector.
+    """Build the lasso certificate for a winning SCC.
 
     The lasso (BFS prefix into the SCC, greedy cover of the recurrent
     edge union, connecting internal walks) is built entirely on flat
     indices and bit-packed labels; only the final prefix/cycle masks and
-    the seed state are decoded. Under SSYNC the labels carry the
+    the seed state are decoded — the seed through ``positions_of``, the
+    one backend-specific step. Under SSYNC the labels carry the
     activation bits above the edge bits, so the very same greedy cover
     also guarantees every robot of the SCC's activation union is
     activated within one cycle — the fairness the criterion promised.
@@ -791,184 +642,34 @@ def _extract_certificate_csr(
     realized_union = 0
     for mask in cycle_masks:
         realized_union |= mask
-    missing_mask = kernel.full_mask & ~realized_union
-    seed_positions, _seed_states = kernel.decode(csr.states[seed_state])
+    m = topology.edge_count
 
-    if kernel.scheduler == "ssync":
-        prefix_activations = tuple(
-            kernel.move_activations(mask) for mask in prefix_masks
-        )
-        cycle_activations = tuple(
-            kernel.move_activations(mask) for mask in cycle_masks
-        )
+    def edges(mask: int) -> frozenset[EdgeId]:
+        return frozenset(edge for edge in range(m) if mask >> edge & 1)
+
+    if scheduler == "ssync":
+        k = len(chiralities)
+
+        def robots(mask: int) -> frozenset[RobotId]:
+            return frozenset(r for r in range(k) if mask >> (m + r) & 1)
+
+        prefix_activations = tuple(robots(mask) for mask in prefix_masks)
+        cycle_activations = tuple(robots(mask) for mask in cycle_masks)
     else:
         prefix_activations = None
         cycle_activations = None
-    return TrapCertificate(
-        algorithm_name=kernel.algorithm.name,
-        topology=kernel.topology,
-        chiralities=chiralities,
-        seed_positions=seed_positions,
-        prefix=tuple(kernel.move_edges(mask) for mask in prefix_masks),
-        cycle=tuple(kernel.move_edges(mask) for mask in cycle_masks),
-        starved_node=target,
-        eventually_missing=kernel.mask_to_edges(missing_mask),
-        prefix_activations=prefix_activations,
-        cycle_activations=cycle_activations,
-    )
-
-
-def _extract_certificate(
-    topology: Topology,
-    algorithm: Algorithm,
-    chiralities: tuple[Chirality, ...],
-    graph: dict[SysState, list[tuple]],
-    seeds: Sequence[SysState],
-    target: NodeId,
-    scc_states: set[SysState],
-    internal: list[_InternalTransition],
-    restrict: Optional[set[SysState]] = None,
-    scheduler: str = "fsync",
-) -> TrapCertificate:
-    """Build the lasso certificate for a winning SCC.
-
-    Under SSYNC each label is a ``(present-edges, activated-robots)``
-    pair; the greedy cover then runs over the disjoint union of both
-    parts, so the exhibited cycle both realizes the SCC's recurrent edge
-    set and activates every robot of its activation union (fairness).
-    """
-    ssync = scheduler == "ssync"
-
-    def cover_set(label) -> frozenset:
-        if ssync:
-            present, active = label
-            return present | {("act", robot) for robot in active}
-        return label
-    # --- prefix: BFS from the seeds into the SCC (within ``restrict``,
-    # the target-avoiding arena, when the property demands it) -----------
-    parent: dict[SysState, Optional[tuple[SysState, frozenset[EdgeId]]]] = {}
-    queue: deque[SysState] = deque()
-    entry: Optional[SysState] = None
-    for seed in seeds:
-        if seed in parent or (restrict is not None and seed not in restrict):
-            continue
-        parent[seed] = None
-        queue.append(seed)
-        if seed in scc_states:
-            entry = seed
-            break
-    while queue and entry is None:
-        state = queue.popleft()
-        for label, succ in graph[state]:
-            if succ in parent:
-                continue
-            if restrict is not None and succ not in restrict:
-                continue
-            parent[succ] = (state, label)
-            if succ in scc_states:
-                entry = succ
-                break
-            queue.append(succ)
-    if entry is None:  # pragma: no cover - SCC is reachable by construction
-        raise VerificationError("winning SCC unreachable from seeds")
-
-    prefix: list = []
-    cursor = entry
-    while parent[cursor] is not None:
-        prev, label = parent[cursor]  # type: ignore[misc]
-        prefix.append(label)
-        cursor = prev
-    prefix.reverse()
-    seed_state = cursor
-
-    # --- cycle: closed walk covering the SCC's recurrent edge union
-    # (and, under SSYNC, its activation union) ---------------------------
-    union: set = set()
-    for _state, label, _succ in internal:
-        union.update(cover_set(label))
-    remaining = set(union)
-    cover: list[_InternalTransition] = []
-    pool = list(internal)
-    while remaining:
-        best = max(pool, key=lambda tr: len(cover_set(tr[1]) & remaining))
-        gain = cover_set(best[1]) & remaining
-        if not gain:  # pragma: no cover - remaining ⊆ union by construction
-            raise VerificationError("cover construction stalled")
-        cover.append(best)
-        remaining -= gain
-    if not cover:
-        cover = [internal[0]]
-
-    adjacency: dict[SysState, list[tuple]] = {}
-    for state, label, succ in internal:
-        adjacency.setdefault(state, []).append((label, succ))
-
-    def internal_path(src: SysState, dst: SysState) -> list:
-        """Labels of a shortest internal walk src → dst within the SCC."""
-        if src == dst:
-            return []
-        back: dict[SysState, tuple] = {}
-        bfs: deque[SysState] = deque([src])
-        seen = {src}
-        while bfs:
-            node = bfs.popleft()
-            for label, succ in adjacency.get(node, ()):
-                if succ in seen:
-                    continue
-                seen.add(succ)
-                back[succ] = (node, label)
-                if succ == dst:
-                    bfs.clear()
-                    break
-                bfs.append(succ)
-        if dst not in back:  # pragma: no cover - SCC is strongly connected
-            raise VerificationError("SCC internal path missing")
-        labels: list = []
-        node = dst
-        while node != src:
-            prev, label = back[node]
-            labels.append(label)
-            node = prev
-        labels.reverse()
-        return labels
-
-    cycle: list = []
-    cursor = entry
-    for state, label, succ in cover:
-        cycle.extend(internal_path(cursor, state))
-        cycle.append(label)
-        cursor = succ
-    cycle.extend(internal_path(cursor, entry))
-
-    if ssync:
-        prefix_edges = tuple(label[0] for label in prefix)
-        cycle_edges = tuple(label[0] for label in cycle)
-        prefix_activations = tuple(label[1] for label in prefix)
-        cycle_activations = tuple(label[1] for label in cycle)
-    else:
-        prefix_edges = tuple(prefix)
-        cycle_edges = tuple(cycle)
-        prefix_activations = None
-        cycle_activations = None
-
-    realized_union: set[EdgeId] = set()
-    for step in cycle_edges:
-        realized_union.update(step)
-    missing = topology.all_edges - realized_union
-
     return TrapCertificate(
         algorithm_name=algorithm.name,
         topology=topology,
         chiralities=chiralities,
-        seed_positions=seed_state[0],
-        prefix=prefix_edges,
-        cycle=cycle_edges,
+        seed_positions=positions_of(csr.states[seed_state]),
+        prefix=tuple(edges(mask) for mask in prefix_masks),
+        cycle=tuple(edges(mask) for mask in cycle_masks),
         starved_node=target,
-        eventually_missing=frozenset(missing),
+        eventually_missing=edges(~realized_union),
         prefix_activations=prefix_activations,
         cycle_activations=cycle_activations,
     )
-
 
 __all__ = [
     "PROPERTIES",

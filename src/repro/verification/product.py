@@ -10,11 +10,12 @@ simulators run, so solver and simulator can never disagree on semantics.
 
 Three interchangeable backends compute :meth:`ProductSystem.reachable`:
 the ``object`` path steps ``step_fsync`` per transition (the semantics
-oracle), the default ``packed`` path runs the allocation-free integer
-kernel of :mod:`repro.verification.kernel` and decodes its graph, and
-the ``vector`` path builds the same graph in NumPy. All yield the
-identical labeled transition graph; differential tests hold them
-together.
+oracle, and what the game solver's ``object`` backend builds its graph
+from), the ``packed`` path runs the allocation-free integer kernel of
+:mod:`repro.verification.kernel` and decodes its graph, and the
+``vector`` path — the default, via ``auto`` — builds the same graph in
+NumPy. All yield the identical labeled transition graph; differential
+tests hold them together.
 
 Adversary-move reduction (soundness argument): only edges adjacent to an
 *occupied* node can influence any robot's view or movement. Presenting a
@@ -75,12 +76,13 @@ class ProductSystem:
         reachable set exceeds this bound, rather than consuming the
         machine.
     backend:
-        ``"packed"`` (default) explores reachability on the int-packed
-        kernel (:mod:`repro.verification.kernel`) and decodes the result;
-        ``"vector"`` builds the same graph breadth-first in NumPy
+        ``"auto"`` (default) is ``"vector"``, which builds the graph
+        breadth-first in NumPy
         (:func:`repro.verification.batch_solver.reachable_csr`), on the
-        packed kernel only for states beyond int64; ``"auto"`` is
-        ``"vector"``; ``"object"`` steps
+        packed kernel only for states beyond int64; ``"packed"``
+        explores reachability on the int-packed kernel
+        (:mod:`repro.verification.kernel`) and decodes the result;
+        ``"object"`` steps
         :func:`repro.sim.engine.step_fsync` (or
         :func:`repro.sim.semi_sync.step_ssync`) per transition. All
         produce the *identical* graph — the object path is kept as the
@@ -100,7 +102,7 @@ class ProductSystem:
         algorithm: Algorithm,
         chiralities: Sequence[Chirality],
         max_states: int = 2_000_000,
-        backend: str = "packed",
+        backend: str = "auto",
         scheduler: str = "fsync",
     ) -> None:
         if not algorithm.is_finite_state:
@@ -252,9 +254,9 @@ class ProductSystem:
 
         Returns a dict mapping every reachable state to its outgoing
         (move, successor) list. Raises :class:`VerificationError` when the
-        state count exceeds :attr:`max_states`. With the ``packed``
-        backend the graph is computed on the int kernel and decoded —
-        identical result, no per-transition allocation.
+        state count exceeds :attr:`max_states`. With the ``packed`` and
+        ``vector`` backends the graph is computed on packed ints and
+        decoded — identical result, no per-transition allocation.
         """
         if self.backend in ("packed", "vector"):
             from repro.verification import batch_solver

@@ -8,8 +8,8 @@ worker (in-process for ``jobs=1``, a ``multiprocessing`` pool otherwise)
 and merges the per-chunk tallies *in chunk order* — so the resulting
 :class:`SweepResult` (totals, explorer names and their order, state
 counts) is byte-identical for any worker count, and for every
-verification backend (``vector``, ``packed``, ``object`` — ``auto``
-is ``vector``). ``jobs=None`` uses every available core.
+verification backend (``vector``, ``packed``, ``object`` — ``auto``,
+the default, is ``vector``). ``jobs=None`` uses every available core.
 
 Workers rebuild their :class:`~repro.robots.algorithms.tables
 .TableAlgorithm` from the bit pattern (a chunk pickles as a tuple of
@@ -257,7 +257,7 @@ def sweep_chunk(
     family: str,
     n: int,
     bits_chunk: Sequence[int],
-    backend: str = "packed",
+    backend: str = "auto",
     validate: bool = False,
     starts: str = "well",
     prop: str = "perpetual",
@@ -268,7 +268,8 @@ def sweep_chunk(
     The unit of work of both the parallel sweep engine and the campaign
     runner's checkpointing: deterministic for a fixed argument tuple, so a
     chunk can be re-run anywhere (another worker, another process, another
-    machine) and tally identically.
+    machine) and tally identically, whatever the ``backend`` (``auto``,
+    the default, is ``vector``).
     """
     # Imported here, not at module level: the scenarios package imports
     # this module while initializing, so a top-level import would cycle.
@@ -466,7 +467,7 @@ def run_table_sweep(
     result: SweepResult,
     family: str,
     bit_patterns: Sequence[int],
-    backend: str = "packed",
+    backend: str = "auto",
     validate: bool = False,
     jobs: Optional[int] = 1,
     starts: str = "well",
@@ -479,7 +480,8 @@ def run_table_sweep(
     chunks are contiguous, so explorers arrive in input order whatever
     ``jobs`` is. ``starts``, ``prop`` and ``scheduler`` select the start
     policy, the exploration property and the execution scheduler for
-    every member.
+    every member; ``backend`` the verification substrate (``auto``, the
+    default, is ``vector``).
     """
     _check_family(family)
     backend = resolve_backend(backend)

@@ -8,7 +8,8 @@ Three contracts, mirroring ``test_batch.py``'s simulation-side suite:
   policies, ``sweep_chunk`` tallies byte-identically under ``vector``,
   ``packed`` and ``object``; ``verify_exploration`` additionally emits
   bit-identical trap certificates under ``vector`` and ``packed`` (the
-  shared canonical-CSR solve phase), all replay-validated.
+  same canonical CSR), and matches ``object`` on verdict, state and
+  transition counts, every certificate replay-validated.
 * **Int64 fallback** — an instance whose packed states do not fit
   int64 takes the scalar kernel under ``vector`` too, with verdicts,
   counts, certificates and graphs equal to ``packed``.
@@ -26,7 +27,7 @@ from hypothesis import strategies as st
 
 from scenario_testlib import make_tiny_scenario
 from repro.errors import VerificationError
-from repro.graph.topology import RingTopology
+from repro.graph.topology import ChainTopology, RingTopology
 from repro.scenarios import (
     CampaignRunner,
     ResultStore,
@@ -126,19 +127,28 @@ class TestCertificateEquality:
     """The shared CSR solve phase makes certificates bit-identical."""
 
     @pytest.mark.parametrize(
-        "bits,scheduler,prop",
+        "bits,scheduler,prop,topology",
         [
-            (7, "fsync", "perpetual"),
-            (91, "ssync", "perpetual"),
-            (123, "fsync", "live"),
-            (255, "ssync", "live"),
+            pytest.param(*case, RingTopology(4), id="-".join(map(str, case)))
+            for case in (
+                (7, "fsync", "perpetual"),
+                (91, "ssync", "perpetual"),
+                (123, "fsync", "live"),
+                (255, "ssync", "live"),
+            )
+        ]
+        # A chain's recurrence budget is 0: no edge may go missing.
+        + [
+            pytest.param(
+                7, "fsync", "perpetual", ChainTopology(4),
+                id="chain-7-fsync-perpetual",
+            )
         ],
     )
     def test_vector_matches_packed_and_object(
-        self, bits: int, scheduler: str, prop: str
+        self, bits: int, scheduler: str, prop: str, topology
     ) -> None:
         algorithm = family_maker("two")(bits)
-        topology = RingTopology(4)
         kwargs = dict(k=2, scheduler=scheduler, prop=prop)
         vec = verify_exploration(
             algorithm, topology, backend="vector", **kwargs
@@ -151,11 +161,14 @@ class TestCertificateEquality:
         )
         assert vec.explorable == packed.explorable == obj.explorable
         assert vec.certificate == packed.certificate
-        assert (vec.states_explored, vec.transitions_explored) == (
-            packed.states_explored, packed.transitions_explored
-        )
-        if vec.certificate is not None:
-            validate_certificate(vec.certificate, algorithm)
+        counts = {
+            (v.states_explored, v.transitions_explored)
+            for v in (vec, packed, obj)
+        }
+        assert len(counts) == 1, counts
+        for verdict in (vec, obj):
+            if verdict.certificate is not None:
+                validate_certificate(verdict.certificate, algorithm)
 
 
 def _packed_csr(kernel: PackedKernel, seeds: list) -> object:
@@ -215,7 +228,9 @@ class TestSparseCsr:
             allowed = _avoid_reachable_csr(expected, 1 << target)
             assert screen.arena(target, "live").tolist() == allowed
             for prop, arena in (("perpetual", None), ("live", allowed)):
-                exact = _winning_scc_csr(kernel, expected, target, arena)
+                exact = _winning_scc_csr(
+                    topology, k, scheduler, expected, target, arena
+                )
                 assert screen(target, prop) == (exact is not None)
 
     @pytest.mark.parametrize(
@@ -280,7 +295,9 @@ class TestWinningScreen:
                     _avoid_reachable_csr(csr, 1 << target)
                     if prop == "live" else None
                 )
-                exact = _winning_scc_csr(kernel, csr, target, allowed)
+                exact = _winning_scc_csr(
+                    topology, 2, scheduler, csr, target, allowed
+                )
                 assert screen(target, prop) == (exact is not None), target
 
     def test_rotation_closure_is_checked_not_assumed(self) -> None:

@@ -8,7 +8,14 @@ an engine/solver cross-check.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.errors import VerificationError
 from repro.graph.topology import ChainTopology, RingTopology
@@ -21,6 +28,8 @@ from repro.robots.algorithms import (
     PEF3Plus,
 )
 from repro.types import AGREE, DISAGREE, Chirality
+from repro.verification.certificates import validate_certificate
+from repro.verification.compiled import CompiledTables
 from repro.verification.game import (
     PROPERTIES,
     check_property,
@@ -215,3 +224,54 @@ class TestVerdictReporting:
         verdict = verify_exploration(PEF2(), RingTopology(3), k=2)
         assert verdict.states_explored > 0
         assert verdict.transitions_explored > verdict.states_explored
+
+
+class TestObjectOracle:
+    """The object backend builds its graph from the simulator alone."""
+
+    @pytest.mark.parametrize(
+        "algorithm,n,k,scheduler,prop",
+        [
+            (PEF2(), 4, 2, "fsync", "perpetual"),
+            (PEF2(), 4, 2, "ssync", "perpetual"),
+            (PEF1(), 3, 1, "fsync", "live"),
+        ],
+    )
+    def test_constructs_no_compiled_tables(
+        self, monkeypatch, algorithm, n, k, scheduler, prop
+    ) -> None:
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("the object oracle compiled packed tables")
+
+        monkeypatch.setattr(CompiledTables, "__init__", refuse)
+        verdict = verify_exploration(
+            algorithm, RingTopology(n), k=k, scheduler=scheduler, prop=prop,
+            backend="object",
+        )
+        assert not verdict.explorable
+        assert verdict.certificate is not None
+        assert verdict.certificate.scheduler == scheduler
+        validate_certificate(verdict.certificate, algorithm)
+
+    def test_verdict_independent_of_hash_seed(self, tmp_path: Path) -> None:
+        # pef2's states hold strings, whose hashes vary per process.
+        src = Path(repro.__file__).resolve().parent.parent
+        outputs = []
+        for seed in ("1", "3"):
+            cwd = tmp_path / seed
+            cwd.mkdir()
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [str(src), env.get("PYTHONPATH")])
+            )
+            result = subprocess.run(
+                [
+                    sys.executable, "-m", "repro", "verify", "--algo", "pef2",
+                    "--n", "5", "--k", "2", "--backend", "object",
+                    "--save", "cert.json",
+                ],
+                cwd=cwd, env=env, capture_output=True, text=True, check=True,
+                timeout=120,
+            )
+            outputs.append((result.stdout, (cwd / "cert.json").read_bytes()))
+        assert outputs[0] == outputs[1]
