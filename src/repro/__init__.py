@@ -36,66 +36,15 @@ Quickstart::
     run_fsync(ring, schedule, PEF3Plus(), positions=[0, 3, 6],
               rounds=2000, observers=[tracker])
     assert tracker.cover_time is not None
+
+The public names below are resolved on first access (PEP 562), so
+``import repro.errors`` or the CLI's ``algos`` verb loads only the
+layers it uses; ``from repro import X`` and ``from repro import *``
+behave exactly as eager imports would.
 """
 
-from repro.types import (
-    AGREE,
-    CCW,
-    CW,
-    DISAGREE,
-    LEFT,
-    RIGHT,
-    Chirality,
-    Direction,
-    GlobalDirection,
-)
-from repro.errors import (
-    AlgorithmError,
-    CertificateError,
-    ConfigurationError,
-    ReproError,
-    ScheduleError,
-    TopologyError,
-    VerificationError,
-)
-from repro.graph import (
-    ChainTopology,
-    EvolvingGraph,
-    RingTopology,
-    Topology,
-)
-from repro.robots import PEF1, PEF2, PEF3Plus
-from repro.robots.algorithms import Algorithm, get_algorithm, registry
-from repro.sim import (
-    Configuration,
-    ExecutionTrace,
-    RunResult,
-    TowerLogger,
-    VisitTracker,
-    run_fsync,
-    run_ssync,
-)
-from repro.adversary import (
-    OscillationTrap,
-    SsyncBlocker,
-    TheoremPhaseTrap,
-    WindowConfinementAdversary,
-)
-from repro.verification import (
-    TrapCertificate,
-    synthesize_trap,
-    validate_certificate,
-    verify_exploration,
-)
-from repro.analysis import exploration_report, recurrence_report, tower_report
-from repro.scenarios import (
-    CampaignRunner,
-    ResultStore,
-    RobotClassSpec,
-    ScenarioSpec,
-    get_scenario,
-    scenario_names,
-)
+import importlib
+import sys
 
 __version__ = "1.1.0"
 
@@ -161,3 +110,80 @@ __all__ = [
     "ResultStore",
     "CampaignRunner",
 ]
+
+#: Public name → the module it is imported from (``"module:attr"`` when
+#: the attribute is named differently there).
+_EXPORTS = {
+    **dict.fromkeys(
+        ("AGREE", "CCW", "CW", "DISAGREE", "LEFT", "RIGHT", "Chirality",
+         "Direction", "GlobalDirection"),
+        "repro.types",
+    ),
+    **dict.fromkeys(
+        ("AlgorithmError", "CertificateError", "ConfigurationError",
+         "ReproError", "ScheduleError", "TopologyError", "VerificationError"),
+        "repro.errors",
+    ),
+    **dict.fromkeys(
+        ("ChainTopology", "EvolvingGraph", "RingTopology", "Topology"),
+        "repro.graph",
+    ),
+    **dict.fromkeys(("PEF1", "PEF2", "PEF3Plus"), "repro.robots"),
+    **dict.fromkeys(
+        ("Algorithm", "get_algorithm", "registry"), "repro.robots.algorithms"
+    ),
+    **dict.fromkeys(
+        ("Configuration", "ExecutionTrace", "RunResult", "TowerLogger",
+         "VisitTracker", "run_fsync", "run_ssync"),
+        "repro.sim",
+    ),
+    **dict.fromkeys(
+        ("OscillationTrap", "SsyncBlocker", "TheoremPhaseTrap",
+         "WindowConfinementAdversary"),
+        "repro.adversary",
+    ),
+    **dict.fromkeys(
+        ("TrapCertificate", "synthesize_trap", "validate_certificate",
+         "verify_exploration"),
+        "repro.verification",
+    ),
+    **dict.fromkeys(
+        ("exploration_report", "recurrence_report", "tower_report"),
+        "repro.analysis",
+    ),
+    **dict.fromkeys(
+        ("CampaignRunner", "ResultStore", "RobotClassSpec", "ScenarioSpec",
+         "get_scenario", "scenario_names"),
+        "repro.scenarios",
+    ),
+}
+
+
+def _lazy_exports(package: str, exports: dict[str, str]) -> tuple:
+    """PEP 562 ``__getattr__`` and ``__dir__`` for a package's exports.
+
+    A public name is imported from its module on first access and then
+    cached in the package namespace, so later lookups never come back
+    here. Any other name raises :class:`AttributeError`, which is also
+    what lets ``from package import submodule`` fall through to the
+    import system.
+    """
+
+    def __getattr__(name: str):
+        try:
+            module, _, attribute = exports[name].partition(":")
+        except KeyError:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}"
+            ) from None
+        value = getattr(importlib.import_module(module), attribute or name)
+        setattr(sys.modules[package], name, value)
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted(set(vars(sys.modules[package])) | set(exports))
+
+    return __getattr__, __dir__
+
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -61,31 +61,36 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from repro.experiments.battery import schedule_battery, spread_positions
-from repro.experiments.figures import figure2_experiment, figure3_experiment
-from repro.experiments.table1 import render_table1, reproduce_table1
-from repro.analysis.exploration import exploration_report
-from repro.analysis.towers import tower_report
-from repro.graph.topology import RingTopology
-from repro.robots.algorithms.base import get_algorithm, registry
-from repro.sim.engine import run_fsync
-from repro.errors import CertificateError, ReproError, exit_code_for
+# Only what build_parser and main need is imported here; each verb
+# imports its own layers, so start-up pays only for the verb being run.
+from repro.errors import (
+    EXIT_DEGRADED,
+    EXIT_INCOMPLETE,
+    EXIT_OK,
+    EXIT_USAGE,
+    CertificateError,
+    ReproError,
+    ScenarioError,
+    exit_code_for,
+)
 from repro.verification.backends import (
     AUTO_BACKEND,
     BACKEND_CHOICES,
     resolve_backend,
 )
-from repro.verification.game import verify_exploration
-from repro.viz.ascii_art import render_space_time
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
+    from repro.experiments.table1 import render_table1, reproduce_table1
+
     rows = reproduce_table1(scale=args.scale)
     print(render_table1(rows, with_evidence=args.evidence))
     return 0 if all(row.agrees for row in rows) else 1
 
 
 def _cmd_algos(_args: argparse.Namespace) -> int:
+    from repro.robots.algorithms.base import get_algorithm, registry
+
     for name in sorted(registry):
         algorithm = get_algorithm(name)
         print(f"{name:<28} {algorithm.describe()}")
@@ -93,6 +98,14 @@ def _cmd_algos(_args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.analysis.exploration import exploration_report
+    from repro.analysis.towers import tower_report
+    from repro.experiments.battery import schedule_battery, spread_positions
+    from repro.graph.topology import RingTopology
+    from repro.robots.algorithms.base import get_algorithm
+    from repro.sim.engine import run_fsync
+    from repro.viz.ascii_art import render_space_time
+
     topology = RingTopology(args.n)
     algorithm = get_algorithm(args.algo)
     schedules = dict(schedule_battery(topology, seed=args.seed))
@@ -121,6 +134,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from repro.graph.topology import RingTopology
+    from repro.robots.algorithms.base import get_algorithm
+    from repro.verification.game import verify_exploration
+
     topology = RingTopology(args.n)
     algorithm = get_algorithm(args.algo)
     verdict = verify_exploration(
@@ -219,14 +236,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
-    from repro.errors import (
-        EXIT_DEGRADED,
-        EXIT_INCOMPLETE,
-        EXIT_OK,
-        EXIT_USAGE,
-        ScenarioError,
-        exit_code_for,
-    )
     from repro.scenarios import (
         CampaignRunner,
         ResultStore,
@@ -337,7 +346,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 def _cmd_campaign_analyze(args: argparse.Namespace) -> int:
     from repro import telemetry
-    from repro.errors import EXIT_OK, EXIT_USAGE, ScenarioError
 
     try:
         events = telemetry.load_trace(args.trace_dir)
@@ -382,6 +390,13 @@ def _cmd_campaign_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_trap(args: argparse.Namespace) -> int:
+    from repro.experiments.figures import (
+        figure2_experiment,
+        figure3_experiment,
+    )
+    from repro.robots.algorithms.base import get_algorithm
+    from repro.viz.ascii_art import render_space_time
+
     algorithm = get_algorithm(args.algo)
     if args.kind == "fig3":
         out3 = figure3_experiment(algorithm, n=args.n, rounds=args.rounds)

@@ -31,45 +31,12 @@ same machinery is importable::
     runner = CampaignRunner(ResultStore("campaigns"))
     outcome = runner.run(get_scenario("thm51-single-n3"))
     assert outcome.status.all_trapped
+
+The names below resolve on first access (PEP 562), so a caller that
+needs only the store or the registry does not load the campaign runner.
 """
 
-from repro.scenarios.dynamics import (
-    DEFAULT_HORIZON,
-    RANDOMIZED_FAMILIES,
-    SCHEDULE_PARAMS,
-    build_schedule,
-    schedule_masks,
-    validate_dynamics,
-)
-from repro.scenarios.spec import (
-    DYNAMICS_FAMILIES,
-    EXHAUSTIVE_LIMIT,
-    SCENARIO_FORMAT_VERSION,
-    RobotClassSpec,
-    ScenarioSpec,
-)
-from repro.scenarios.simulate import simulate_chunk, simulation_placements
-from repro.scenarios.registry import (
-    get_scenario,
-    iter_scenarios,
-    register_scenario,
-    scenario_names,
-    smallest_scenario,
-)
-from repro.scenarios.faults import ENV_VAR as FAULT_PLAN_ENV_VAR
-from repro.scenarios.faults import KILL_EXIT_CODE, FaultPlan
-from repro.scenarios.store import (
-    RecoveryReport,
-    ResultStore,
-    chunk_digest,
-    is_failure_record,
-)
-from repro.scenarios.campaign import (
-    CampaignRunner,
-    CampaignRunOutcome,
-    CampaignStatus,
-    RetryPolicy,
-)
+from repro import _lazy_exports
 
 __all__ = [
     "DEFAULT_HORIZON",
@@ -102,3 +69,37 @@ __all__ = [
     "CampaignStatus",
     "RetryPolicy",
 ]
+
+_EXPORTS = {
+    **dict.fromkeys(
+        ("DEFAULT_HORIZON", "RANDOMIZED_FAMILIES", "SCHEDULE_PARAMS",
+         "build_schedule", "schedule_masks", "validate_dynamics"),
+        "repro.scenarios.dynamics",
+    ),
+    **dict.fromkeys(
+        ("DYNAMICS_FAMILIES", "EXHAUSTIVE_LIMIT", "SCENARIO_FORMAT_VERSION",
+         "RobotClassSpec", "ScenarioSpec"),
+        "repro.scenarios.spec",
+    ),
+    **dict.fromkeys(
+        ("simulate_chunk", "simulation_placements"), "repro.scenarios.simulate"
+    ),
+    **dict.fromkeys(
+        ("get_scenario", "iter_scenarios", "register_scenario",
+         "scenario_names", "smallest_scenario"),
+        "repro.scenarios.registry",
+    ),
+    "FAULT_PLAN_ENV_VAR": "repro.scenarios.faults:ENV_VAR",
+    **dict.fromkeys(("KILL_EXIT_CODE", "FaultPlan"), "repro.scenarios.faults"),
+    **dict.fromkeys(
+        ("RecoveryReport", "ResultStore", "chunk_digest", "is_failure_record"),
+        "repro.scenarios.store",
+    ),
+    **dict.fromkeys(
+        ("CampaignRunner", "CampaignRunOutcome", "CampaignStatus",
+         "RetryPolicy"),
+        "repro.scenarios.campaign",
+    ),
+}
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -80,7 +80,11 @@ from repro.scenarios.store import (
     is_failure_record,
 )
 from repro.verification.backends import resolve_backend
-from repro.verification.sweeps import resolve_jobs, sweep_chunk
+from repro.verification.sweeps import (
+    preload_kernels,
+    resolve_jobs,
+    sweep_chunk,
+)
 
 CAMPAIGN_REPORT_VERSION = 1
 
@@ -852,11 +856,16 @@ class CampaignRunner:
         treats a dead worker as a reason to hang. Deadlines are enforced
         by the same ``wait()`` loop that collects results. Idle workers
         get a ``None`` sentinel and are joined once every chunk settles;
-        on an interrupt or exception every live worker is killed.
+        on an interrupt or exception every live worker is killed. The
+        NumPy kernels are loaded once up front, where the workers inherit
+        them (:func:`~repro.verification.sweeps.preload_kernels`); this
+        path runs only with chunks pending, so a cache-hit rerun never
+        loads them.
         """
         policy = self.policy
         seed = plan.seed if plan is not None else 0
         ctx = multiprocessing.get_context()
+        preload_kernels(ctx, __name__)
         plan_data = plan.to_dict() if plan is not None else None
         trace = telemetry.active()
         telemetry_data = trace.to_dict() if trace is not None else None

@@ -46,43 +46,14 @@ This subpackage decides it, through three mutually-checking layers:
   algorithm classes (e.g. all 256 memoryless single-robot algorithms);
 * :mod:`repro.verification.sweeps` — the parallel sweep engine: shards a
   table class across a process pool with deterministic chunk merging.
+
+The names below resolve on first access (PEP 562): importing
+:mod:`repro.verification.backends` alone never loads the solver, and
+NumPy arrives only with the vector kernels
+(:mod:`~repro.verification.batch`, :mod:`~repro.verification.batch_solver`).
 """
 
-from repro.verification.backends import (
-    AUTO_BACKEND,
-    BACKENDS,
-    BACKEND_CHOICES,
-    resolve_backend,
-)
-from repro.verification.certificates import (
-    TrapCertificate,
-    certificate_schedule,
-    validate_certificate,
-)
-from repro.verification.game import (
-    PROPERTIES,
-    ExplorationVerdict,
-    check_property,
-    synthesize_trap,
-    verify_exploration,
-)
-from repro.verification.compiled import CompiledTables
-from repro.verification.kernel import PackedKernel, check_scheduler
-from repro.verification.product import ProductSystem, SysState
-from repro.verification.enumeration import (
-    SweepResult,
-    sample_table_patterns,
-    sweep_single_robot_memoryless,
-    sweep_two_robot_memory2,
-    sweep_two_robot_memoryless,
-)
-from repro.verification.sweeps import (
-    START_POLICIES,
-    TABLE_FAMILIES,
-    available_cpus,
-    run_table_sweep,
-    sweep_chunk,
-)
+from repro import _lazy_exports
 
 __all__ = [
     "AUTO_BACKEND",
@@ -113,3 +84,39 @@ __all__ = [
     "run_table_sweep",
     "sweep_chunk",
 ]
+
+_EXPORTS = {
+    **dict.fromkeys(
+        ("AUTO_BACKEND", "BACKENDS", "BACKEND_CHOICES", "resolve_backend"),
+        "repro.verification.backends",
+    ),
+    **dict.fromkeys(
+        ("TrapCertificate", "certificate_schedule", "validate_certificate"),
+        "repro.verification.certificates",
+    ),
+    **dict.fromkeys(
+        ("PROPERTIES", "ExplorationVerdict", "check_property",
+         "synthesize_trap", "verify_exploration"),
+        "repro.verification.game",
+    ),
+    "CompiledTables": "repro.verification.compiled",
+    **dict.fromkeys(
+        ("PackedKernel", "check_scheduler"), "repro.verification.kernel"
+    ),
+    **dict.fromkeys(
+        ("ProductSystem", "SysState"), "repro.verification.product"
+    ),
+    **dict.fromkeys(
+        ("SweepResult", "sample_table_patterns",
+         "sweep_single_robot_memoryless", "sweep_two_robot_memory2",
+         "sweep_two_robot_memoryless"),
+        "repro.verification.enumeration",
+    ),
+    **dict.fromkeys(
+        ("START_POLICIES", "TABLE_FAMILIES", "available_cpus",
+         "run_table_sweep", "sweep_chunk"),
+        "repro.verification.sweeps",
+    ),
+}
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

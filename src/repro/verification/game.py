@@ -60,7 +60,6 @@ from repro.errors import VerificationError
 from repro.graph.topology import Topology
 from repro.robots.algorithms.base import Algorithm
 from repro.types import Chirality, EdgeId, NodeId, RobotId
-from repro.verification import batch_solver
 from repro.verification.backends import resolve_backend
 from repro.verification.certificates import TrapCertificate, validate_certificate
 from repro.verification.kernel import (
@@ -209,6 +208,8 @@ def verify_exploration(
     per-step activation sets and replay through
     :func:`repro.sim.semi_sync.run_ssync`.
     """
+    from repro.verification import batch_solver
+
     backend = resolve_backend(backend)
     check_property(prop)
     check_scheduler(scheduler)
@@ -478,6 +479,8 @@ def _winning_scc_csr(
     order — fully deterministic, so the same CSR always yields the same
     SCC first and the same certificate.
     """
+    from repro.verification import batch_solver
+
     budget = 1 if topology.is_ring else 0
     act_shift = topology.edge_count
     full_mask = (1 << act_shift) - 1

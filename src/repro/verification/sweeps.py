@@ -23,13 +23,12 @@ this module is the engine underneath them.
 
 from __future__ import annotations
 
+import importlib
 import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
-
-import numpy as np
 
 from repro import telemetry
 from repro.errors import VerificationError
@@ -42,7 +41,6 @@ from repro.robots.algorithms.tables import (
     table_space_size,
 )
 from repro.types import Chirality, NodeId
-from repro.verification import batch_solver
 from repro.verification.backends import resolve_backend
 from repro.verification.game import check_property, verify_exploration
 from repro.verification.kernel import PackedKernel
@@ -166,6 +164,8 @@ def family_stack(family: str, bits_chunk: Sequence[int]) -> tuple:
     paths consume this instead of per-table objects; memory-2 patterns
     reach 2^64, so decoding runs on uint64.
     """
+    import numpy as np
+
     _check_family(family)
     state_count, width, offsets = _LAYOUTS[family]
     if bits_chunk:
@@ -345,6 +345,7 @@ def _sweep_chunk_vector(
     the per-table path.
     """
     from repro.scenarios import faults
+    from repro.verification import batch_solver
 
     if not bits_chunk:
         return None
@@ -450,6 +451,30 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     return jobs
 
 
+#: The NumPy kernels a chunk worker runs (solver and simulation).
+KERNEL_MODULES = ("repro.verification.batch_solver", "repro.verification.batch")
+
+
+def preload_kernels(
+    ctx: multiprocessing.context.BaseContext, worker_module: str
+) -> None:
+    """Load :data:`KERNEL_MODULES` once, where ``ctx``'s workers inherit them.
+
+    Under ``fork`` they are imported here, before the first worker
+    starts; under ``forkserver`` the server imports them (with
+    ``worker_module``, the home of the worker body) and every worker
+    forks from it. ``spawn`` workers start from a fresh interpreter and
+    import them at first use. Callers invoke this only when there is
+    work to hand out, so a run with nothing pending never loads NumPy.
+    """
+    method = ctx.get_start_method()
+    if method == "fork":
+        for name in KERNEL_MODULES:
+            importlib.import_module(name)
+    elif method == "forkserver":
+        ctx.set_forkserver_preload(["__main__", worker_module, *KERNEL_MODULES])
+
+
 def _chunked(patterns: Sequence[int], jobs: int) -> list[tuple[int, ...]]:
     """Split into contiguous chunks (~4 per worker for load balance).
 
@@ -496,7 +521,9 @@ def run_table_sweep(
     if jobs <= 1 or len(payloads) <= 1:
         outcomes = [_sweep_chunk(payload) for payload in payloads]
     else:
-        with multiprocessing.get_context().Pool(processes=jobs) as pool:
+        ctx = multiprocessing.get_context()
+        preload_kernels(ctx, __name__)
+        with ctx.Pool(processes=jobs) as pool:
             outcomes = pool.map(_sweep_chunk, payloads)
     for total, trapped, explorers, states in outcomes:
         result.total += total
@@ -509,6 +536,7 @@ def run_table_sweep(
 __all__ = [
     "START_POLICIES",
     "TABLE_FAMILIES",
+    "KERNEL_MODULES",
     "SweepResult",
     "available_cpus",
     "check_algorithm_class",
@@ -518,6 +546,7 @@ __all__ = [
     "family_plan",
     "family_space",
     "family_stack",
+    "preload_kernels",
     "resolve_jobs",
     "run_table_sweep",
     "start_placements",

@@ -370,12 +370,14 @@ class TestLibraryErrors:
     def test_certificate_error_still_crashes(self, monkeypatch) -> None:
         # A certificate that fails replay is a solver bug, not a usage
         # error: it must stay loud.
-        from repro import cli
+        # The verb imports verify_exploration when it runs, so patching
+        # the defining module reaches it.
         from repro.errors import CertificateError
+        from repro.verification import game
 
         def broken(*_args, **_kwargs):
             raise CertificateError("lasso does not starve its target")
 
-        monkeypatch.setattr(cli, "verify_exploration", broken)
+        monkeypatch.setattr(game, "verify_exploration", broken)
         with pytest.raises(CertificateError):
             main(["verify", "--algo", "pef1", "--n", "3", "--k", "1"])
