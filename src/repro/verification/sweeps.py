@@ -465,7 +465,7 @@ def preload_kernels(
     ``worker_module``, the home of the worker body) and every worker
     forks from it. ``spawn`` workers start from a fresh interpreter and
     import them at first use. Callers invoke this only when there is
-    work to hand out, so a run with nothing pending never loads NumPy.
+    work to hand out, so a run with nothing pending never loads them.
     """
     method = ctx.get_start_method()
     if method == "fork":

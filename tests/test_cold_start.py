@@ -1,9 +1,10 @@
 """Start-up pays only for the command being run.
 
 The package inits resolve their exports lazily (PEP 562), the CLI
-imports each verb's layers inside that verb, and NumPy arrives only
-with the vector kernels. Import state is per process, so every guard
-below runs its command in a fresh interpreter.
+imports each verb's layers inside that verb, and the kernel modules
+arrive only when a kernel runs. The library loads no NumPy until then;
+the CLI entry point imports NumPy itself. Import state is per process,
+so every guard below runs its command in a fresh interpreter.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from repro.verification.sweeps import KERNEL_MODULES, preload_kernels
 
 SRC = Path(repro.__file__).resolve().parent.parent
 SCENARIO = "thm51-single-n3"
+KERNELS = set(KERNEL_MODULES)
 
 
 def _run_python(code: str, *args: str) -> dict:
@@ -78,9 +80,16 @@ def completed_store(tmp_path_factory) -> Path:
     return store
 
 
-class TestNoNumpyUntilAKernelRuns:
-    def test_import_cli(self) -> None:
-        assert not _after("import repro.cli")["numpy"]
+class TestNoKernelUntilOneRuns:
+    def test_import_cli_loads_no_layer(self) -> None:
+        assert _after("import repro.cli")["repro"] == [
+            "repro", "repro.cli", "repro.errors",
+            "repro.verification", "repro.verification.backends",
+        ]
+
+    def test_library_namespaces_load_no_numpy(self) -> None:
+        loaded = _after("import repro, repro.verification, repro.scenarios")
+        assert not loaded["numpy"]
 
     def test_import_errors_loads_only_errors(self) -> None:
         loaded = _after("import repro.errors")
@@ -91,13 +100,28 @@ class TestNoNumpyUntilAKernelRuns:
         loaded = _after(
             "from repro.cli import main\nassert main(['algos']) == 0"
         )
-        assert not loaded["numpy"]
+        assert not KERNELS & set(loaded["repro"])
 
     def test_campaign_status(self, completed_store: Path) -> None:
-        assert not _after(_campaign("status", completed_store))["numpy"]
+        loaded = _after(_campaign("status", completed_store))
+        assert not KERNELS & set(loaded["repro"])
 
     def test_cache_hit_campaign_run(self, completed_store: Path) -> None:
-        assert not _after(_campaign("run", completed_store))["numpy"]
+        loaded = _after(_campaign("run", completed_store))
+        assert not KERNELS & set(loaded["repro"])
+
+    def test_cache_hit_library_run_loads_no_numpy(
+        self, completed_store: Path
+    ) -> None:
+        loaded = _after(
+            "from repro.scenarios import CampaignRunner, ResultStore, "
+            "get_scenario\n"
+            f"store = ResultStore({str(completed_store)!r})\n"
+            f"outcome = CampaignRunner(store, jobs=2).run(get_scenario({SCENARIO!r}))\n"
+            "assert outcome.status.complete\n"
+        )
+        assert not loaded["numpy"]
+        assert not KERNELS & set(loaded["repro"])
 
 
 @pytest.mark.parametrize(
@@ -179,7 +203,7 @@ class TestSupervisor:
         loaded = _after(
             _campaign("run", completed_store, "--trace-dir", str(trace))
         )
-        assert "repro.verification.batch_solver" not in loaded["repro"]
+        assert not KERNELS & set(loaded["repro"])
         events = telemetry.load_trace(trace)
         assert events, "the rerun was not traced"
         assert [e for e in events if e["name"] == "worker.spawn"] == []
@@ -205,9 +229,9 @@ class TestSupervisor:
             # supervisor under fork, in the fork server (or each fresh
             # spawn worker) otherwise.
             if method == "fork":
-                assert set(KERNEL_MODULES) <= set(loaded["repro"])
+                assert KERNELS <= set(loaded["repro"])
             else:
-                assert not loaded["numpy"], method
+                assert not KERNELS & set(loaded["repro"]), method
             reports[method] = ResultStore(store).report_path(spec).read_bytes()
         for method in methods:
             assert reports[method] == reports[methods[0]], method
